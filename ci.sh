@@ -90,6 +90,26 @@ done
 ./build-asan/tests/sharded_engine_test
 ./build-asan/tests/mpsc_queue_test
 
+# End-to-end smoke stage: one short city_tick run of the benchmark in
+# e2ebench/ (50k cars, library-default shards, per-shard WAL, every
+# refresh on the delta path). The benchmark compares the gathered answers
+# with an unsharded oracle at sampled ticks and at the end, and reports
+# the outcome in its last line; this is the only check of sharded delta
+# refresh against the oracle at full fleet scale.
+echo "=== e2e smoke stage (city_tick, Release) ==="
+e2e_result="$(python3 e2ebench/run.py --workload city_tick --seed 1 \
+  --seconds 3 --trace 0 | tail -1)"
+python3 - "$e2e_result" <<'PY'
+import json
+import sys
+
+result = json.loads(sys.argv[1])
+print(f"e2e smoke: correct={result['correct']} failed={result['failed']} "
+      f"attempted={result['attempted']}")
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit("e2e smoke: answers diverged from the oracle or operations failed")
+PY
+
 # Fuzz-smoke stage: replay the checked-in parser/evaluator corpus and a
 # bounded deterministic mutation loop under ASan. Every input that parses
 # is evaluated in both layouts and must produce byte-identical relations;

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "common/arena.h"
@@ -33,6 +34,13 @@ namespace most {
 /// solver sees bit-equal doubles and the two layouts produce identical
 /// answers.
 ///
+/// A snapshot may cover only part of the class: Build() with a filter
+/// keeps just the filter's ids that the class holds (in the same ascending
+/// order, with the same per-object rows as a full build). The evaluator
+/// builds one per (class, domain filter), so a delta pass over a few dirty
+/// objects, or a shard's refresh over its partition, lays out only the
+/// objects it can bind (docs/eval_internals.md).
+///
 /// Lifetime: a snapshot borrows the evaluation's BumpArena for its arrays
 /// and holds pointers into the database; it must not outlive either (it is
 /// rebuilt each evaluation — see docs/eval_internals.md). Read-only after
@@ -53,9 +61,12 @@ class ClassSnapshot {
         vx_(ArenaAllocator<double>(arena)),
         vy_(ArenaAllocator<double>(arena)) {}
 
-  /// Rebuilds the snapshot from `cls` over `window`. Non-spatial objects
-  /// (or invalid windows) get zero segments and spatial_ok(i) == false.
-  void Build(const ObjectClass& cls, Interval window);
+  /// Rebuilds the snapshot from `cls` over `window`, restricted to the
+  /// ids in `filter` when it is non-null (ids the class does not hold are
+  /// skipped). Non-spatial objects (or invalid windows) get zero segments
+  /// and spatial_ok(i) == false.
+  void Build(const ObjectClass& cls, Interval window,
+             const std::set<ObjectId>* filter = nullptr);
 
   size_t size() const { return ids_.size(); }
   Interval window() const { return window_; }
@@ -86,6 +97,15 @@ class ClassSnapshot {
   const double* vy() const { return vy_.data(); }
 
  private:
+  /// A filtered build looks each id up in the class's tree while the
+  /// filter is this many times smaller than the class (one lookup costs
+  /// about log2(class size) node hops, ~16 at 50k objects); larger
+  /// filters merge-walk the class instead.
+  static constexpr size_t kFindWalkRatio = 16;
+
+  /// Appends one object's row and its segments over window_.
+  void Append(ObjectId id, const MostObject& obj);
+
   Interval window_{0, -1};
   ArenaVector<ObjectId> ids_;
   ArenaVector<const MostObject*> objects_;

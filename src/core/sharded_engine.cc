@@ -163,6 +163,17 @@ void ShardedEngine::ReassignAfterStructuralChange(const std::string& class_name,
   bool exists = false;
   auto cls = db_->GetClass(class_name);
   if (cls.ok()) exists = (*cls)->Get(id).ok();
+  // Dirty the id everywhere: any shard's multi-variable query can bind it
+  // in a non-first column; the delta path evicts or re-derives its rows.
+  // The owner must see the mark while its partition holds the id — after
+  // the swap for a creation, before it for a deletion — because managers
+  // drop marks for ids outside their partition when only the first FROM
+  // variable ranges over the class.
+  const std::vector<ObjectId> ids{id};
+  auto mark_dirty = [&] {
+    for (auto& shard : shards_) shard->qm->NoteUpdates(class_name, ids);
+  };
+  if (!exists) mark_dirty();
   auto next = std::make_shared<std::set<ObjectId>>(*owner.partition);
   if (exists) {
     next->insert(id);
@@ -175,10 +186,7 @@ void ShardedEngine::ReassignAfterStructuralChange(const std::string& class_name,
     owner.indexes->SetOwnershipFilter(next);
     if (exists) owner.indexes->Resync(class_name, id);
   }
-  // Dirty the id everywhere: any shard's multi-variable query can bind it
-  // in a non-first column; the delta path evicts or re-derives its rows.
-  const std::vector<ObjectId> ids{id};
-  for (auto& shard : shards_) shard->qm->NoteUpdates(class_name, ids);
+  if (exists) mark_dirty();
 }
 
 Result<ShardedEngine::QueryId> ShardedEngine::RegisterContinuous(
@@ -462,19 +470,16 @@ Result<ShardedEngine::ShardedAnswer> ShardedEngine::ContinuousAnswer(
     if (!s.ok()) return s;
   }
 
-  // Gather: merge the *relations* before flattening. Projection can
-  // collapse one binding into several shards' rows; their tick sets must
-  // union (and adjacent intervals re-coalesce) or flattening would not be
+  // Gather: the shards' relations go to FlattenAnswer together, which
+  // flattens them on the pool and k-way merges the sorted runs. Projection
+  // can collapse one binding into several shards' rows; the merge unions
+  // their tick sets (re-coalescing adjacent intervals), so the tuples are
   // byte-identical to the single-shard oracle.
   ShardedAnswer out;
-  TemporalRelation merged;
-  merged.vars = snaps.empty() ? std::vector<std::string>{} : snaps[0].answer.vars;
+  std::vector<const TemporalRelation*> parts(n);
   for (size_t k = 0; k < n; ++k) {
     if (snaps[k].degrade != DegradeReason::kNone) out.missing_shards.push_back(k);
-    for (const auto& [binding, when] : snaps[k].answer.rows) {
-      auto [row, inserted] = merged.rows.emplace(binding, when);
-      if (!inserted) row->second = row->second.Union(when);
-    }
+    parts[k] = snaps[k].answer.get();
   }
   if (obs::MetricsRegistry::Global().enabled()) {
     gather_merges_total_->Inc();
@@ -485,7 +490,8 @@ Result<ShardedEngine::ShardedAnswer> ShardedEngine::ContinuousAnswer(
   // poisons the whole gather: the union is incomplete, so no tuple is
   // vouched for.
   out.tuples = shards_[0]->qm->FlattenAnswer(
-      eq.query, merged, /*force_stale=*/!out.missing_shards.empty());
+      eq.query, parts, /*force_stale=*/!out.missing_shards.empty(),
+      pool_.get());
   return out;
 }
 
@@ -508,12 +514,29 @@ Result<TemporalRelation> ShardedEngine::Evaluate(const FtlQuery& query) {
   for (const Status& s : sts) {
     if (!s.ok()) return s;
   }
+  // K-way merge of the parts' sorted rows, moving each row's node into
+  // the result (appended at the end, so no tree search); bindings present
+  // in several parts union their tick sets.
   TemporalRelation merged;
   merged.vars = parts.empty() ? std::vector<std::string>{} : parts[0].vars;
-  for (TemporalRelation& part : parts) {
-    for (auto& [binding, when] : part.rows) {
-      auto [row, inserted] = merged.rows.emplace(binding, std::move(when));
-      if (!inserted) row->second = row->second.Union(when);
+  using Rows = std::map<std::vector<ObjectId>, IntervalSet>;
+  while (true) {
+    Rows* min_part = nullptr;
+    for (TemporalRelation& part : parts) {
+      if (!part.rows.empty() &&
+          (min_part == nullptr ||
+           part.rows.begin()->first < min_part->begin()->first)) {
+        min_part = &part.rows;
+      }
+    }
+    if (min_part == nullptr) break;
+    auto row = merged.rows.insert(merged.rows.end(),
+                                  min_part->extract(min_part->begin()));
+    for (TemporalRelation& part : parts) {
+      if (!part.rows.empty() && part.rows.begin()->first == row->first) {
+        row->second = row->second.Union(part.rows.begin()->second);
+        part.rows.erase(part.rows.begin());
+      }
     }
   }
   return merged;

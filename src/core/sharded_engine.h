@@ -47,12 +47,13 @@ namespace most {
 /// commutes with every connective: shard k's full relation is exactly the
 /// oracle relation filtered to rows whose first binding is owned by k, so
 /// the disjoint union over shards *is* the oracle relation. The gather
-/// merges per-shard projected relations (projection can collapse a
-/// binding present in several shards, whose tick sets then union and
-/// re-coalesce) and flattens through QueryManager::FlattenAnswer — the
-/// same code path a single-shard read uses — so answers are byte-
-/// identical to an unsharded QueryManager at any shard count, which the
-/// differential suite enforces.
+/// hands the per-shard projected relations (shared snapshots, not copies)
+/// to QueryManager::FlattenAnswer, which k-way merges them into tuples
+/// (projection can collapse a binding present in several shards, whose
+/// tick sets then union and re-coalesce) — a single-shard read is the
+/// same function's one-part case — so answers are byte-identical to an
+/// unsharded QueryManager at any shard count, which the differential
+/// suite enforces.
 ///
 /// Degradation follows the coordinator's completeness-marking idiom: a
 /// shard that blows its refresh budget keeps serving its previous answer
@@ -141,16 +142,18 @@ class ShardedEngine {
   /// apply the updates to the shared database and append them to the
   /// shard WAL; (2) dirty the drained ids in *every* shard's queries (a
   /// non-first column of a multi-variable query can bind any object, so
-  /// dirty marks fan out; single-variable queries drop non-owned marks
-  /// inside the manager); (3) in parallel per shard, refresh all queries
+  /// dirty marks fan out; a query whose updated class only the first
+  /// FROM variable ranges over drops non-owned marks inside the
+  /// manager); (3) in parallel per shard, refresh all queries
   /// against the now read-only database. An update whose object vanished
   /// between enqueue and drain is counted dropped, not an error.
   Status DrainAndRefresh();
 
   // ---- Queries ---------------------------------------------------------
 
-  /// Gathered continuous answer: per-shard snapshots merged per binding
-  /// (tick sets unioned, then flattened in map order / interval order).
+  /// Gathered continuous answer: per-shard snapshots k-way merged per
+  /// binding (tick sets unioned, tuples in binding order / interval
+  /// order).
   /// `missing_shards` lists shards serving degraded (previous/partial)
   /// answers; when non-empty every tuple is demoted to kStale — the
   /// gather will not vouch for a partially-complete union.

@@ -683,11 +683,18 @@ bool FtlEvaluator::ResolveLayoutSoa(const Options& options) {
 }
 
 const ClassSnapshot& FtlEvaluator::GetSnapshot(const ObjectClass* cls,
+                                               const std::string& var,
                                                Interval window) {
-  auto it = snapshots_.find(cls);
+  auto restriction = options_.domain_restrictions.find(var);
+  const std::set<ObjectId>* filter =
+      restriction != options_.domain_restrictions.end()
+          ? restriction->second.get()
+          : nullptr;
+  auto it = snapshots_.find({cls, filter});
   if (it == snapshots_.end()) {
-    it = snapshots_.emplace(cls, ClassSnapshot(&arena_)).first;
-    it->second.Build(*cls, window);
+    it = snapshots_.emplace(SnapshotKey{cls, filter}, ClassSnapshot(&arena_))
+             .first;
+    it->second.Build(*cls, window, filter);
   }
   return it->second;
 }
@@ -1476,7 +1483,7 @@ Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
   // Snapshot builds draw arena memory proportional to the class; check
   // the budget before, and again after so the bytes just drawn count.
   MOST_RETURN_IF_ERROR(BudgetCheckpoint(0));
-  const ClassSnapshot& snap = GetSnapshot(cls, window);
+  const ClassSnapshot& snap = GetSnapshot(cls, f.var(), window);
   MOST_RETURN_IF_ERROR(BudgetCheckpoint(0));
 
   const std::set<ObjectId>* filter = nullptr;
@@ -1615,9 +1622,12 @@ Result<TemporalRelation> FtlEvaluator::EvalDistSoA(
     }
     cls[s] = it->second;
   }
+  // Each variable gets the snapshot of its own restricted domain: the
+  // same class bound by a restricted and an unrestricted variable (DIST(o,
+  // n) over M o, M n in a delta pass) needs two different snapshots.
   MOST_RETURN_IF_ERROR(BudgetCheckpoint(0));
-  const ClassSnapshot* snap[2] = {&GetSnapshot(cls[0], window),
-                                  &GetSnapshot(cls[1], window)};
+  const ClassSnapshot* snap[2] = {&GetSnapshot(cls[0], vars[0], window),
+                                  &GetSnapshot(cls[1], vars[1], window)};
   MOST_RETURN_IF_ERROR(BudgetCheckpoint(0));
 
   // Per-variable extents as snapshot indices, ascending — the order

@@ -203,12 +203,20 @@ class FtlEvaluator {
                                        FtlFormula::CmpOp op,
                                        const std::vector<std::string>& vars);
 
-  /// The per-class SoA snapshot for this evaluation, built on first use.
-  /// Snapshots and every other per-evaluation scratch structure live in
-  /// arena_; ResetEvalScratch() drops them wholesale at the start of each
-  /// top-level evaluation (nothing arena-allocated escapes an evaluation —
+  /// The SoA snapshot of `cls` over object variable `var`'s domain for
+  /// this evaluation, built on first use. Keyed by (class, the variable's
+  /// Options::domain_restrictions entry), so a restricted variable
+  /// snapshots only its restricted domain, and the same class bound by a
+  /// restricted and an unrestricted variable gets one snapshot each.
+  /// Semi-join filters are not part of the key: they only narrow
+  /// enumeration and always lie inside the restriction, so one snapshot
+  /// serves every atom over the variable. Snapshots and every other
+  /// per-evaluation scratch structure live in arena_; ResetEvalScratch()
+  /// drops them wholesale at the start of each top-level evaluation
+  /// (nothing arena-allocated escapes an evaluation —
   /// docs/eval_internals.md).
-  const ClassSnapshot& GetSnapshot(const ObjectClass* cls, Interval window);
+  const ClassSnapshot& GetSnapshot(const ObjectClass* cls,
+                                   const std::string& var, Interval window);
   void ResetEvalScratch();
   /// Cooperative budget checkpoint: OK while within Options::budget,
   /// Status::ResourceExhausted once a limit trips. `rows_hint` is the
@@ -226,7 +234,11 @@ class FtlEvaluator {
   const bool layout_soa_;
   BudgetGate gate_;
   BumpArena arena_;
-  std::map<const ObjectClass*, ClassSnapshot> snapshots_;
+  /// (class, restriction set or null). The sets are Options entries, so
+  /// they outlive every snapshot keyed by them.
+  using SnapshotKey =
+      std::pair<const ObjectClass*, const std::set<ObjectId>*>;
+  std::map<SnapshotKey, ClassSnapshot> snapshots_;
   /// Parent node the next Eval() attaches its child to; null = profiling
   /// off. Only mutated by the single thread driving the recursion (pool
   /// workers never call Eval).

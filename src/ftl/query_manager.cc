@@ -1,6 +1,7 @@
 #include "ftl/query_manager.h"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 
 #include "common/failpoint.h"
@@ -236,26 +237,29 @@ void QueryManager::NoteUpdateLocked(const std::string& class_name,
   // record *which* object went dirty and coalesce repeats; Refresh then
   // re-derives just those rows (docs/incremental_eval.md).
   for (auto& [qid, cq] : continuous_) {
-    for (const FromBinding& fb : cq.query.from) {
-      if (fb.class_name == class_name) {
-        // A partitioned manager's single-variable query binds only owned
-        // objects (its one object column is the partitioned first FROM
-        // variable), so a foreign object's update cannot change any of
-        // its rows — skipping the dirty mark keeps single-variable
-        // refresh cost truly per-shard. Multi-variable queries may bind
-        // the foreign object in a later column and stay dirty-marked.
-        if (options_.domain_partition != nullptr &&
-            cq.query.from.size() == 1 &&
-            options_.domain_partition->count(id) == 0) {
-          break;
-        }
-        cq.dirty_objects[class_name].insert(id);
-        // First staleness since the last completed refresh: admission
-        // control refreshes longest-stale entries first.
-        if (cq.first_dirty_at < 0) cq.first_dirty_at = now;
-        break;
-      }
+    const std::vector<FromBinding>& from = cq.query.from;
+    bool bound = false;
+    bool bound_after_first = false;
+    for (size_t i = 0; i < from.size(); ++i) {
+      if (from[i].class_name != class_name) continue;
+      bound = true;
+      bound_after_first = bound_after_first || i > 0;
     }
+    if (!bound) continue;
+    // A partitioned manager's first FROM variable binds only owned
+    // objects. When no other variable ranges over the updated class (a
+    // single-variable query, or the CARS side of a CARS x DEPOTS join), a
+    // foreign object can appear in none of its rows, so skipping the
+    // dirty mark keeps refresh cost per-shard. A class bound by a later
+    // variable too may bind the foreign object there and stays marked.
+    if (options_.domain_partition != nullptr && !bound_after_first &&
+        options_.domain_partition->count(id) == 0) {
+      continue;
+    }
+    cq.dirty_objects[class_name].insert(id);
+    // First staleness since the last completed refresh: admission
+    // control refreshes longest-stale entries first.
+    if (cq.first_dirty_at < 0) cq.first_dirty_at = now;
   }
   // Persistent queries record the updated object's attribute states.
   for (auto& [qid, pq] : persistent_) {
@@ -454,12 +458,13 @@ Status QueryManager::RefreshFull(Continuous* cq, const char* reason) {
              "full", dur_ns);
     return Status::OK();
   }
-  cq->full = std::move(*evaluated);
+  // A fresh relation: snapshots keep whatever they hold.
+  cq->full = std::make_shared<TemporalRelation>(std::move(*evaluated));
   if (profile != nullptr) {
     profile->arena_bytes = eval.stats().arena_bytes;
     profile->arena_heap_fallbacks = eval.stats().arena_heap_fallbacks;
   }
-  cq->answer = cq->full.Project(cq->query.retrieve);
+  PublishAnswer(cq);
   cq->evaluated_at = now;
   cq->dirty = false;
   cq->dirty_objects.clear();
@@ -522,7 +527,8 @@ Status QueryManager::RefreshDelta(Continuous* cq) {
     profile->root.label = "DeltaRefresh";
   }
   const uint64_t t0 = obs::MonotonicNowNs();
-  const std::vector<std::string>& vars = cq->full.vars;
+  TemporalRelation& full = WritableFull(cq);
+  const std::vector<std::string>& vars = full.vars;
   // Dirty ids per relation column (null = column's class saw no update).
   std::vector<const std::set<ObjectId>*> col_dirty(vars.size(), nullptr);
   for (size_t i = 0; i < vars.size(); ++i) {
@@ -538,12 +544,12 @@ Status QueryManager::RefreshDelta(Continuous* cq) {
   //    an update can have changed (the relation is pointwise in its
   //    bindings), including rows of deleted objects, which the restricted
   //    passes will simply not re-derive.
-  for (auto it = cq->full.rows.begin(); it != cq->full.rows.end();) {
+  for (auto it = full.rows.begin(); it != full.rows.end();) {
     bool evict = false;
     for (size_t i = 0; i < vars.size() && !evict; ++i) {
       evict = col_dirty[i] != nullptr && col_dirty[i]->count(it->first[i]) > 0;
     }
-    it = evict ? cq->full.rows.erase(it) : std::next(it);
+    it = evict ? full.rows.erase(it) : std::next(it);
   }
   // 2. One restricted pass per dirty column: variable i pinned to the
   //    dirty ids, every other domain unrestricted. A row binding dirty
@@ -595,7 +601,7 @@ Status QueryManager::RefreshDelta(Continuous* cq) {
       // so the relation is a sound subset of the true answer: serve it
       // as kStale. dirty_objects stays populated, so a post-cooldown
       // refresh re-derives the missing rows.
-      cq->answer = cq->full.Project(cq->query.retrieve);
+      PublishAnswer(cq);
       NoteShed(cq, eval.degrade_reason(), now, part.status().message(),
                "delta", obs::MonotonicNowNs() - t0);
       return Status::OK();
@@ -604,11 +610,11 @@ Status QueryManager::RefreshDelta(Continuous* cq) {
       profile->arena_bytes += eval.stats().arena_bytes;
       profile->arena_heap_fallbacks += eval.stats().arena_heap_fallbacks;
     }
-    for (auto& [binding, when] : part->rows) {
-      cq->full.rows.emplace(binding, std::move(when));
-    }
+    // Node transfer, no copies; a binding another pass already spliced
+    // stays (its tick set is the same).
+    full.rows.merge(part->rows);
   }
-  cq->answer = cq->full.Project(cq->query.retrieve);
+  PublishAnswer(cq);
   const uint64_t dur_ns = obs::MonotonicNowNs() - t0;
   cq->evaluated_at = now;
   cq->dirty_objects.clear();
@@ -624,7 +630,7 @@ Status QueryManager::RefreshDelta(Continuous* cq) {
   if (profile != nullptr) {
     profile->total_ns = dur_ns;
     profile->root.duration_ns = dur_ns;
-    profile->root.tuples = cq->full.rows.size();
+    profile->root.tuples = full.rows.size();
     cq->last_profile = std::move(profile);
   }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -647,6 +653,38 @@ Status QueryManager::RefreshDelta(Continuous* cq) {
     slow_log.MaybeRecord(std::move(entry));
   }
   return Status::OK();
+}
+
+TemporalRelation& QueryManager::WritableFull(Continuous* cq) {
+  // The entry's own references are `full` and, when the projection is the
+  // identity, `answer`; any more are snapshots. New snapshots are taken
+  // only under mu_, so the count can only fall while we read it — a stale
+  // read costs a needless clone, never a write under a reader.
+  const long own = cq->answer == cq->full ? 2 : 1;
+  if (cq->full.use_count() > own) {
+    cq->full = std::make_shared<TemporalRelation>(*cq->full);
+  } else {
+#if !defined(__SANITIZE_THREAD__)  // TSan does not model fences (-Wtsan).
+    // Pairs with the release in the last holder's reference drop, so its
+    // reads of the relation happen before the splice writes.
+    std::atomic_thread_fence(std::memory_order_acquire);
+#endif
+  }
+  return *cq->full;
+}
+
+void QueryManager::PublishAnswer(Continuous* cq) {
+  const std::vector<std::string>& retrieve = cq->query.retrieve;
+  const std::set<std::string> keep(retrieve.begin(), retrieve.end());
+  // Columns are sorted, as Project's output is: equal sets mean Project
+  // would rebuild the same relation row by row.
+  if (std::equal(keep.begin(), keep.end(), cq->full->vars.begin(),
+                 cq->full->vars.end())) {
+    cq->answer = cq->full;
+  } else {
+    cq->answer =
+        std::make_shared<const TemporalRelation>(cq->full->Project(retrieve));
+  }
 }
 
 Result<std::vector<AnswerTuple>> QueryManager::ContinuousAnswer(QueryId id) {
@@ -708,18 +746,88 @@ Confidence QueryManager::BindingConfidence(
 }
 
 std::vector<AnswerTuple> QueryManager::FlattenAnswer(
-    const FtlQuery& query, const TemporalRelation& relation,
-    bool force_stale) const {
-  Tick now = db_->Now();
-  ConfidenceColumns cols = ResolveConfidenceColumns(query, relation.vars);
+    const FtlQuery& query, std::span<const TemporalRelation* const> parts,
+    bool force_stale, ThreadPool* pool) const {
+  if (parts.empty()) return {};
+  const Tick now = db_->Now();
+  const ConfidenceColumns cols =
+      ResolveConfidenceColumns(query, parts[0]->vars);
+  // 1. Each part flattens on its own: rows in map order, intervals in
+  //    order. Walking a relation's rows and copying each binding out is
+  //    the cost of a read, so parts run in parallel when a pool is given.
+  std::vector<std::vector<AnswerTuple>> runs(parts.size());
+  ParallelFor(pool, parts.size(), [&](size_t p) {
+    std::vector<AnswerTuple>& run = runs[p];
+    run.reserve(parts[p]->rows.size());
+    for (const auto& [binding, when] : parts[p]->rows) {
+      // Confidence is re-derived at read time, not cached at evaluation
+      // time: objects drift into staleness as the clock advances with no
+      // update (and pop back to certain on a fresh one) without any
+      // re-evaluation.
+      const Confidence confidence =
+          force_stale ? Confidence::kStale
+                      : BindingConfidence(cols, binding, now);
+      for (const Interval& iv : when.intervals()) {
+        run.push_back({binding, iv, confidence});
+      }
+    }
+  });
+  if (runs.size() == 1) return std::move(runs[0]);
+
+  // 2. K-way merge of the runs by binding (k is the shard count, so a
+  //    linear scan for the smallest head beats a heap). A binding held by
+  //    one run moves across; one held by several (a projection collapsed
+  //    rows of different parts together) unions its tick sets first.
+  size_t total = 0;
+  for (const std::vector<AnswerTuple>& run : runs) total += run.size();
   std::vector<AnswerTuple> out;
-  for (const auto& [binding, when] : relation.rows) {
-    // Confidence is re-derived at read time, not cached at evaluation
-    // time: objects drift into staleness as the clock advances with no
-    // update (and pop back to certain on a fresh one) without any
-    // re-evaluation.
-    Confidence confidence = force_stale ? Confidence::kStale
-                                        : BindingConfidence(cols, binding, now);
+  out.reserve(total);
+  const size_t k = runs.size();
+  std::vector<size_t> pos(k, 0);
+  // End of the binding group starting at runs[p][pos[p]].
+  auto group_end = [&](size_t p) {
+    const std::vector<AnswerTuple>& run = runs[p];
+    size_t end = pos[p] + 1;
+    while (end < run.size() && run[end].binding == run[pos[p]].binding) ++end;
+    return end;
+  };
+  while (true) {
+    size_t first = k;
+    size_t holders = 0;
+    for (size_t p = 0; p < k; ++p) {
+      if (pos[p] == runs[p].size()) continue;
+      const std::vector<ObjectId>& b = runs[p][pos[p]].binding;
+      if (first == k || b < runs[first][pos[first]].binding) {
+        first = p;
+        holders = 1;
+      } else if (b == runs[first][pos[first]].binding) {
+        ++holders;
+      }
+    }
+    if (first == k) break;
+    if (holders == 1) {
+      const size_t end = group_end(first);
+      std::move(runs[first].begin() + static_cast<ptrdiff_t>(pos[first]),
+                runs[first].begin() + static_cast<ptrdiff_t>(end),
+                std::back_inserter(out));
+      pos[first] = end;
+      continue;
+    }
+    const std::vector<ObjectId> binding = runs[first][pos[first]].binding;
+    const Confidence confidence = runs[first][pos[first]].confidence;
+    IntervalSet when;
+    std::vector<Interval> ivs;
+    for (size_t p = first; p < k; ++p) {
+      if (pos[p] == runs[p].size() || runs[p][pos[p]].binding != binding) {
+        continue;
+      }
+      const size_t end = group_end(p);
+      ivs.clear();
+      for (size_t i = pos[p]; i < end; ++i) ivs.push_back(runs[p][i].interval);
+      when = when.Union(
+          IntervalSet::FromSortedIntervals(ivs.data(), ivs.size()));
+      pos[p] = end;
+    }
     for (const Interval& iv : when.intervals()) {
       out.push_back({binding, iv, confidence});
     }
@@ -746,7 +854,8 @@ Result<std::vector<AnswerTuple>> QueryManager::ContinuousAnswerLocked(
   // While degraded the materialized relation is a previous or partial
   // answer: the engine will not vouch for any of it, so every tuple is
   // demoted to the may-answer regardless of per-object staleness.
-  return FlattenAnswer(cq.query, cq.answer,
+  const TemporalRelation* answer = cq.answer.get();
+  return FlattenAnswer(cq.query, std::span(&answer, 1),
                        /*force_stale=*/cq.degrade != DegradeReason::kNone);
 }
 
@@ -920,7 +1029,7 @@ Status QueryManager::Poll() {
       if (NeedsRefresh(cq, now)) {
         MOST_RETURN_IF_ERROR(Refresh(&cq));
       }
-      for (const auto& [binding, when] : cq.answer.rows) {
+      for (const auto& [binding, when] : cq.answer->rows) {
         for (const Interval& iv : when.intervals()) {
           if (iv.begin > now) break;  // Intervals sorted; nothing entered yet.
           if (iv.end < cq.last_polled + 1) continue;  // Fully in the past.
@@ -941,8 +1050,8 @@ Status QueryManager::Poll() {
       // or whose intervals all ended before now are dead weight — without
       // this the map grows with every binding the trigger ever fired on.
       for (auto fit = cq.fired.begin(); fit != cq.fired.end();) {
-        auto row = cq.answer.rows.find(fit->first);
-        bool live = row != cq.answer.rows.end() && !row->second.empty() &&
+        auto row = cq.answer->rows.find(fit->first);
+        bool live = row != cq.answer->rows.end() && !row->second.empty() &&
                     row->second.Max() >= now;
         fit = live ? std::next(fit) : cq.fired.erase(fit);
       }

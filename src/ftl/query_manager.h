@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -206,30 +207,34 @@ class QueryManager {
 
   /// The raw materialized projected relation behind ContinuousAnswer,
   /// refreshed first if stale. This is the sharded engine's gather hook:
-  /// the per-shard *relations* must be merged (projection can collapse a
-  /// binding present in several shards, whose tick sets then union and
-  /// re-coalesce) before tuples are flattened, so handing out the tuple
-  /// list would lose the byte-identity contract (docs/sharding.md).
+  /// it passes every shard's relation to FlattenAnswer, which unions the
+  /// tick sets of a binding present in several shards (projection can
+  /// collapse one) before emitting it (docs/sharding.md).
   /// `degrade` is kNone while the relation is fully up to date; anything
   /// else means this is a previous/partial answer the caller must not
   /// vouch for.
   struct AnswerSnapshot {
-    TemporalRelation answer;
+    /// Shared with the manager, never copied: the manager clones its
+    /// relation before the next splice if a snapshot still holds it.
+    std::shared_ptr<const TemporalRelation> answer;
     DegradeReason degrade = DegradeReason::kNone;
     Tick evaluated_at = 0;
   };
   Result<AnswerSnapshot> SnapshotContinuousAnswer(QueryId id);
 
-  /// Flattens a projected relation into the tuple form ContinuousAnswer
-  /// returns: rows in map order, intervals in order, confidence re-derived
-  /// per binding at the current tick (`force_stale` demotes every tuple,
-  /// as a degraded answer does). ContinuousAnswer itself goes through this
-  /// helper, so the sharded engine's gather — which merges per-shard
-  /// snapshot relations and then flattens the union — produces tuples byte
-  /// for byte as a single-shard manager would (docs/sharding.md).
-  std::vector<AnswerTuple> FlattenAnswer(const FtlQuery& query,
-                                         const TemporalRelation& relation,
-                                         bool force_stale) const;
+  /// Flattens the union of projected relations over the same columns
+  /// into the tuple form ContinuousAnswer returns: tuples in binding
+  /// order, intervals in order, confidence re-derived per binding at the
+  /// current tick (`force_stale` demotes every tuple, as a degraded answer
+  /// does). Each part is flattened on its own — on `pool` when given —
+  /// and the sorted runs are k-way merged; a binding present in several
+  /// parts has its tick sets unioned first. ContinuousAnswer is the
+  /// one-part case, so the sharded engine's gather — which passes every
+  /// shard's snapshot relation — produces tuples byte for byte as a
+  /// single-shard manager would (docs/sharding.md).
+  std::vector<AnswerTuple> FlattenAnswer(
+      const FtlQuery& query, std::span<const TemporalRelation* const> parts,
+      bool force_stale, ThreadPool* pool = nullptr) const;
 
   /// Replaces the standing domain partition (Options::domain_partition).
   /// The caller owns re-derivation: swap the partition, then mark every id
@@ -357,9 +362,13 @@ class QueryManager {
     /// its rows are pointwise in their bindings, so rows touching updated
     /// objects can be evicted and re-derived independently. `answer` is
     /// its projection onto the RETRIEVE variables (projection aggregates
-    /// over dropped columns, so it cannot be spliced directly).
-    TemporalRelation full;
-    TemporalRelation answer;
+    /// over dropped columns, so it cannot be spliced directly); when the
+    /// projection is the identity, `answer` *is* `full`. Snapshots share
+    /// `answer` instead of copying it, so a refresh clones `full` before
+    /// splicing whenever a snapshot still holds it (WritableFull).
+    std::shared_ptr<TemporalRelation> full =
+        std::make_shared<TemporalRelation>();
+    std::shared_ptr<const TemporalRelation> answer = full;
     Tick evaluated_at = 0;
     /// Evaluation window [window_begin, expires_at]. Re-anchored to
     /// [now, now + horizon] only at first evaluation and on expiry;
@@ -430,6 +439,14 @@ class QueryManager {
   /// dirty object, runs one domain-restricted pass per dirty column, and
   /// splices the results back into the unprojected relation.
   Status RefreshDelta(Continuous* cq);
+
+  /// Makes cq->full safe to mutate: clones it when a snapshot still
+  /// shares it (copy-on-write). Caller holds mu_ (or TickAll's exclusive
+  /// access to the entry).
+  static TemporalRelation& WritableFull(Continuous* cq);
+  /// Re-derives cq->answer from cq->full: the same object when the
+  /// projection is the identity, a fresh projection otherwise.
+  static void PublishAnswer(Continuous* cq);
 
   /// Per-column staleness lookup state, resolved once per relation read
   /// instead of rescanning query.from and the class registry for every

@@ -679,8 +679,9 @@ std::vector<size_t> ShardCounts() {
 // parallel) must produce gathered continuous answers byte-identical to an
 // unsharded serial QueryManager at every shard count — across random
 // two-variable formulas (including DIST atoms whose join partners hash to
-// different shards), coalesced updates, creations, deletions and window
-// expiries. Instantaneous scatter evaluation is differenced the same way.
+// different shards), identity and projecting RETRIEVE lists, coalesced
+// updates, creations, deletions and window expiries. Instantaneous
+// scatter evaluation is differenced the same way.
 TEST(DifferentialTest, ShardedEngineMatchesUnshardedOracle) {
   int schedules = 0;
   uint64_t sharded_delta_served = 0;
@@ -716,10 +717,16 @@ TEST(DifferentialTest, ShardedEngineMatchesUnshardedOracle) {
         eng_opt.query_options = qm_opt;
         ShardedEngine engine(&engine_db, eng_opt);
 
-        for (int q = 0; q < 2; ++q) {
+        // Schedules 0 and 1 retrieve both variables (the identity
+        // projection). RETRIEVE n drops the partitioned variable, so
+        // bindings from different shards collide in the gather and their
+        // tick sets must union; RETRIEVE o collapses rows within a shard.
+        const std::vector<std::string> retrieves[] = {
+            {"o", "n"}, {"o", "n"}, {"n"}, {"o"}};
+        for (int q = 0; q < 4; ++q) {
           ++schedules;
           FtlQuery query;
-          query.retrieve = {"o", "n"};
+          query.retrieve = retrieves[q];
           query.from = {{"M", "o"}, {"M", "n"}};
           query.where = RandomFormula(&rng, 2);
 

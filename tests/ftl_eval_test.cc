@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <set>
+
 #include "common/rng.h"
+#include "core/class_snapshot.h"
 #include "ftl/naive_eval.h"
 #include "ftl/parser.h"
 
@@ -504,6 +508,156 @@ TEST_P(FtlAgreementTest, IntervalEvaluatorMatchesNaive) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FtlAgreementTest,
                          ::testing::Values(1, 2, 3, 4, 5, 42, 1997));
+
+// A spatial class M of `n` objects (ids in creation order): linear and
+// piecewise routes, plus one object without motion (spatial_ok false).
+void BuildSnapshotWorld(Rng* rng, MostDatabase* db, int n,
+                        std::vector<ObjectId>* ids) {
+  ASSERT_TRUE(db->CreateClass("M", {}, /*spatial=*/true).ok());
+  for (int i = 0; i < n; ++i) {
+    auto obj = db->CreateObject("M");
+    ASSERT_TRUE(obj.ok());
+    ObjectId id = (*obj)->id();
+    ids->push_back(id);
+    if (i == 3) continue;  // No motion.
+    if (rng->Bernoulli(0.5)) {
+      ASSERT_TRUE(db->SetMotion("M", id,
+                                {Grid(rng, -20, 20), Grid(rng, -20, 20)},
+                                {Grid(rng, -2, 2), Grid(rng, -2, 2)})
+                      .ok());
+    } else {
+      auto fx = TimeFunction::Piecewise(
+          {{0, Grid(rng, -2, 2)}, {rng->UniformInt(3, 15), Grid(rng, -2, 2)}});
+      ASSERT_TRUE(fx.ok());
+      ASSERT_TRUE(
+          db->UpdateDynamic("M", id, kAttrX, Grid(rng, -20, 20), *fx).ok());
+      ASSERT_TRUE(db->UpdateDynamic("M", id, kAttrY, Grid(rng, -20, 20),
+                                    TimeFunction::Linear(Grid(rng, -2, 2)))
+                      .ok());
+    }
+  }
+}
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+// A filtered snapshot is the full snapshot restricted to the filter: same
+// ids in the same order, same update stamps, bit-equal coefficients.
+void ExpectRestrictionOf(const ClassSnapshot& full,
+                         const ClassSnapshot& filtered,
+                         const std::set<ObjectId>& filter) {
+  size_t expected = 0;
+  for (ObjectId id : filter) {
+    if (full.IndexOf(id) != ClassSnapshot::npos) ++expected;
+  }
+  ASSERT_EQ(filtered.size(), expected);
+  size_t segments = 0;
+  for (size_t i = 0; i < filtered.size(); ++i) {
+    ASSERT_EQ(filter.count(filtered.id(i)), 1u);
+    if (i > 0) {
+      EXPECT_LT(filtered.id(i - 1), filtered.id(i));
+    }
+    const size_t j = full.IndexOf(filtered.id(i));
+    ASSERT_NE(j, ClassSnapshot::npos);
+    EXPECT_EQ(filtered.IndexOf(filtered.id(i)), i);
+    EXPECT_EQ(filtered.object(i), full.object(j));
+    EXPECT_EQ(filtered.last_update(i), full.last_update(j));
+    EXPECT_EQ(filtered.spatial_ok(i), full.spatial_ok(j));
+    ASSERT_EQ(filtered.seg_count(i), full.seg_count(j));
+    for (uint32_t s = 0; s < filtered.seg_count(i); ++s) {
+      const uint32_t a = filtered.seg_begin(i) + s;
+      const uint32_t b = full.seg_begin(j) + s;
+      EXPECT_EQ(filtered.seg_t0()[a], full.seg_t0()[b]);
+      EXPECT_EQ(filtered.seg_t1()[a], full.seg_t1()[b]);
+      EXPECT_EQ(Bits(filtered.ox()[a]), Bits(full.ox()[b]));
+      EXPECT_EQ(Bits(filtered.oy()[a]), Bits(full.oy()[b]));
+      EXPECT_EQ(Bits(filtered.vx()[a]), Bits(full.vx()[b]));
+      EXPECT_EQ(Bits(filtered.vy()[a]), Bits(full.vy()[b]));
+    }
+    segments += filtered.seg_count(i);
+  }
+  EXPECT_EQ(filtered.total_segments(), segments);
+}
+
+TEST(ClassSnapshotTest, FilteredBuildIsTheFullBuildRestricted) {
+  Rng rng(7);
+  MostDatabase db;
+  std::vector<ObjectId> ids;
+  ASSERT_NO_FATAL_FAILURE(BuildSnapshotWorld(&rng, &db, 40, &ids));
+  // Deleted ids and ids the class never held are skipped.
+  ASSERT_TRUE(db.DeleteObject("M", ids[5]).ok());
+  ASSERT_TRUE(db.DeleteObject("M", ids[30]).ok());
+  auto cls = db.GetClass("M");
+  ASSERT_TRUE(cls.ok());
+  const Interval window(2, 40);
+  ClassSnapshot full;
+  full.Build(**cls, window);
+  ASSERT_EQ(full.size(), 38u);
+
+  // A small filter (looked up id by id) and a large one (merge-walked).
+  std::set<ObjectId> small = {ids[0], ids[3], ids[5], ids[17], 999999};
+  std::set<ObjectId> large(ids.begin(), ids.begin() + 35);
+  large.insert(999999);
+  for (const std::set<ObjectId>* filter : {&small, &large}) {
+    ClassSnapshot filtered;
+    filtered.Build(**cls, window, filter);
+    ExpectRestrictionOf(full, filtered, *filter);
+  }
+
+  const std::set<ObjectId> none;
+  ClassSnapshot empty;
+  empty.Build(**cls, window, &none);
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.total_segments(), 0u);
+  EXPECT_EQ(empty.IndexOf(ids[0]), ClassSnapshot::npos);
+}
+
+// DIST(o, n) over M o, M n with only one variable restricted: the
+// restricted variable's snapshot covers its filter, the other's the whole
+// class. A snapshot cache keyed by class alone would hand one variable the
+// other's domain. Both orders are covered, since the variable whose
+// snapshot is built first differs.
+TEST(ClassSnapshotTest, RestrictedAndUnrestrictedVariablesShareAClass) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    MostDatabase db;
+    std::vector<ObjectId> ids;
+    ASSERT_NO_FATAL_FAILURE(BuildSnapshotWorld(&rng, &db, 12, &ids));
+    ASSERT_TRUE(db.DeleteObject("M", ids[3]).ok());  // The motionless one.
+    FtlQuery query;
+    query.retrieve = {"o", "n"};
+    query.from = {{"M", "o"}, {"M", "n"}};
+    query.where = FtlFormula::Compare(FtlFormula::CmpOp::kLe,
+                                      FtlTerm::Dist("o", "n"),
+                                      FtlTerm::Literal(Value(12.0)));
+    const Interval window(0, 30);
+    NaiveFtlEvaluator naive(db);
+    auto all = naive.EvaluateQuery(query, window);
+    ASSERT_TRUE(all.ok()) << all.status();
+    auto filter = std::make_shared<const std::set<ObjectId>>(
+        std::set<ObjectId>{ids[0], ids[4], ids[9]});
+    for (const std::string var : {"o", "n"}) {
+      SCOPED_TRACE("restricted=" + var);
+      FtlEvaluator::Options opts;
+      opts.layout = EvalLayout::kSoa;
+      opts.domain_restrictions[var] = filter;
+      FtlEvaluator eval(db, opts);
+      auto got = eval.EvaluateQuery(query, window);
+      ASSERT_TRUE(got.ok()) << got.status();
+      // Columns are sorted: n, o.
+      const size_t col = var == "n" ? 0 : 1;
+      TemporalRelation want;
+      want.vars = all->vars;
+      for (const auto& [binding, when] : all->rows) {
+        if (filter->count(binding[col]) > 0) want.rows.emplace(binding, when);
+      }
+      ASSERT_FALSE(want.rows.empty());
+      EXPECT_EQ(got->vars, want.vars);
+      EXPECT_EQ(got->rows, want.rows)
+          << "got: " << got->ToString() << "\nwant: " << want.ToString();
+    }
+  }
+}
 
 }  // namespace
 }  // namespace most

@@ -316,6 +316,44 @@ TEST_F(QueryManagerTest, DeltaRefreshSplicesUpdatedRowsOnly) {
   EXPECT_EQ(qm_.EvaluationCount(*id).value(), 3u);
 }
 
+TEST_F(QueryManagerTest, HeldSnapshotSurvivesLaterDeltaRefreshes) {
+  // Snapshots share the manager's answer relation instead of copying it,
+  // so a delta refresh must clone the relation before splicing while a
+  // snapshot still holds it (copy-on-write).
+  ObjectId c0 = AddCar({5, 5}, {0, 0});
+  AddCar({100, 100}, {0, 0});
+  ObjectId c2 = AddCar({5, 6}, {0, 0});
+  AddCar({200, 200}, {0, 0});
+  auto id = qm_.RegisterContinuous(
+      Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)"));
+  ASSERT_TRUE(id.ok());
+  auto held = qm_.SnapshotContinuousAnswer(*id);
+  ASSERT_TRUE(held.ok());
+  const TemporalRelation held_copy = *held->answer;
+  ASSERT_EQ(held_copy.rows.size(), 2u);
+
+  // c0 leaves P; the delta refresh evicts its row from a clone.
+  ASSERT_TRUE(db_.SetMotion("CARS", c0, {100, 5}, {0, 0}).ok());
+  auto fresh = qm_.SnapshotContinuousAnswer(*id);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(qm_.QueryRefreshCounters(*id)->delta_evaluations, 1u);
+  EXPECT_NE(fresh->answer, held->answer);
+  EXPECT_EQ(fresh->answer->rows.size(), 1u);
+  EXPECT_EQ(held->answer->vars, held_copy.vars);
+  EXPECT_EQ(held->answer->rows, held_copy.rows);
+
+  // Dropping the older snapshot changes nothing for the newer one: c2
+  // leaves too, and the newer snapshot still reads c2's row.
+  held = Status::NotFound("released");
+  const TemporalRelation fresh_copy = *fresh->answer;
+  ASSERT_TRUE(db_.SetMotion("CARS", c2, {100, 6}, {0, 0}).ok());
+  auto answer = qm_.ContinuousAnswer(*id);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_TRUE(answer->empty());
+  EXPECT_EQ(qm_.QueryRefreshCounters(*id)->delta_evaluations, 2u);
+  EXPECT_EQ(fresh->answer->rows, fresh_copy.rows);
+}
+
 TEST_F(QueryManagerTest, UpdateTriggeredRefreshKeepsWindowAnchor) {
   // The car is inside P during [5, 15]. An update to an unrelated object
   // at t=10 re-derives the answer over the *original* window, so the
@@ -790,6 +828,43 @@ TEST_F(ParallelQueryManagerTest, TotalRefreshCountersNeverTear) {
   reader.join();
   QueryManager::RefreshCounters final = qm_.TotalRefreshCounters();
   EXPECT_GT(final.delta_evaluations + final.full_evaluations, 0u);
+}
+
+TEST_F(ParallelQueryManagerTest, SnapshotsReadOnOtherThreadsDuringRefresh) {
+  // A snapshot handed to another thread is walked while this thread's
+  // batch refreshes splice the same query's answer. Copy-on-write keeps
+  // the walked relation unchanged; under -DMOST_SANITIZE=thread a splice
+  // into a shared relation would also show up as a data race.
+  std::vector<ObjectId> cars;
+  for (int i = 0; i < 8; ++i) {
+    cars.push_back(AddCar({static_cast<double>(i), 5.0}, {0.5, 0}));
+  }
+  auto id = qm_.RegisterContinuous(Parse(
+      "RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 20 INSIDE(o, P)"));
+  ASSERT_TRUE(id.ok());
+  for (int round = 0; round < 20; ++round) {
+    auto snap = qm_.SnapshotContinuousAnswer(*id);
+    ASSERT_TRUE(snap.ok());
+    std::shared_ptr<const TemporalRelation> held = snap->answer;
+    const std::string rendered = held->ToString();
+    snap = Status::NotFound("handed off");
+    std::atomic<bool> stop{false};
+    std::thread reader([&, held] {
+      while (!stop.load()) {
+        ASSERT_EQ(held->ToString(), rendered);
+      }
+    });
+    // One dirty car out of eight keeps every refresh on the delta path.
+    const ObjectId car = cars[static_cast<size_t>(round) % cars.size()];
+    ASSERT_TRUE(db_.SetMotion("CARS", car,
+                              {round % 2 == 0 ? 200.0 : 5.0, 5.0}, {0, 0})
+                    .ok());
+    ASSERT_TRUE(qm_.TickAll().ok());
+    stop.store(true);
+    reader.join();
+    EXPECT_EQ(held->ToString(), rendered);
+  }
+  EXPECT_GE(qm_.QueryRefreshCounters(*id)->delta_evaluations, 20u);
 }
 
 TEST_F(ParallelQueryManagerTest, ConcurrentRegistrationDuringTicks) {

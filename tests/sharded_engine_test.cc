@@ -264,6 +264,92 @@ TEST(ShardedEngineTest, StructuralOpsReassignOwnershipAndDirtyQueries) {
   EXPECT_EQ(total, 6u);  // 6 initial + 1 created - 1 deleted.
 }
 
+// A foreign update to a class that only the partitioned first FROM
+// variable ranges over is not dirty-marked (a single-variable query, or
+// the vehicle side of a vehicles x depots join). Deleting an owned object
+// must still evict its rows in its owner shard, and updates to the join's
+// other class must still reach every shard.
+TEST(ShardedEngineTest, DeletionsAndJoinUpdatesReachTheOwnerShard) {
+  MostDatabase oracle_db;
+  MostDatabase engine_db;
+  ASSERT_NO_FATAL_FAILURE(
+      BuildTwinWorlds(SmallFleet(24, 41), &oracle_db, &engine_db));
+  std::vector<ObjectId> depots;
+  for (MostDatabase* db : {&oracle_db, &engine_db}) {
+    ASSERT_TRUE(db->CreateClass("D", {}, /*spatial=*/true).ok());
+    depots.clear();
+    for (int i = 0; i < 3; ++i) {
+      auto depot = db->CreateObject("D");
+      ASSERT_TRUE(depot.ok());
+      depots.push_back((*depot)->id());
+      ASSERT_TRUE(db->SetMotion("D", depots.back(),
+                                {25.0 + 25.0 * i, 50.0}, {0, 0})
+                      .ok());
+    }
+  }
+  FtlQuery join;
+  join.retrieve = {"o", "d"};
+  join.from = {{"V", "o"}, {"D", "d"}};
+  join.where = FtlFormula::Compare(FtlFormula::CmpOp::kLe,
+                                   FtlTerm::Dist("o", "d"),
+                                   FtlTerm::Literal(Value(30.0)));
+  QueryManager::Options qm_opt;
+  qm_opt.horizon = 32;
+  qm_opt.delta_max_dirty_fraction = 1.0;
+  QueryManager oracle(&oracle_db, qm_opt);
+  ShardedEngine::Options eng_opt;
+  eng_opt.shard_count = 4;
+  eng_opt.query_options = qm_opt;
+  ShardedEngine engine(&engine_db, eng_opt);
+
+  const FtlQuery queries[] = {InsideQuery(), join};
+  std::vector<QueryManager::QueryId> oracle_ids;
+  std::vector<ShardedEngine::QueryId> engine_ids;
+  for (const FtlQuery& q : queries) {
+    auto oid = oracle.RegisterContinuous(q);
+    auto eid = engine.RegisterContinuous(q);
+    ASSERT_TRUE(oid.ok() && eid.ok());
+    oracle_ids.push_back(*oid);
+    engine_ids.push_back(*eid);
+  }
+  auto compare = [&](const std::string& step) {
+    for (size_t q = 0; q < oracle_ids.size(); ++q) {
+      auto want = oracle.ContinuousAnswer(oracle_ids[q]);
+      auto got = engine.ContinuousAnswer(engine_ids[q]);
+      ASSERT_TRUE(want.ok() && got.ok());
+      ASSERT_FALSE(want->empty()) << step << ", query " << q;
+      ASSERT_EQ(got->tuples, *want) << step << ", query " << q;
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(compare("registration"));
+
+  // Delete every vehicle that is in either answer now.
+  std::set<ObjectId> answered;
+  for (size_t q = 0; q < oracle_ids.size(); ++q) {
+    auto want = oracle.ContinuousAnswer(oracle_ids[q]);
+    ASSERT_TRUE(want.ok());
+    for (const AnswerTuple& t : *want) answered.insert(t.binding.back());
+  }
+  size_t deleted = 0;
+  for (ObjectId id : answered) {
+    if (oracle_db.DeleteObject("V", id).ok()) {
+      ASSERT_TRUE(engine.DeleteObject("V", id).ok());
+      if (++deleted == 6) break;
+    }
+  }
+  ASSERT_GT(deleted, 0u);
+  ASSERT_TRUE(engine.Advance(1).ok());
+  oracle_db.clock().AdvanceTo(engine_db.Now());
+  ASSERT_NO_FATAL_FAILURE(compare("after deletions"));
+
+  // Move a depot: rows of vehicles owned by every shard change.
+  ASSERT_TRUE(oracle_db.SetMotion("D", depots[1], {70, 20}, {0, 0}).ok());
+  engine.EnqueueMotion("D", depots[1], {70, 20}, {0, 0});
+  ASSERT_TRUE(engine.Advance(1).ok());
+  oracle_db.clock().AdvanceTo(engine_db.Now());
+  ASSERT_NO_FATAL_FAILURE(compare("after a depot update"));
+}
+
 // A shard that blows its refresh budget degrades instead of blocking the
 // gather: the merged answer lists it in missing_shards and every tuple is
 // demoted to kStale (completeness marking, docs/sharding.md).
