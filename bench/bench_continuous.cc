@@ -260,7 +260,6 @@ void EmitBenchJson(const char* path) {
       << "  \"benchmark\": \"continuous\",\n"
       << "  \"query\": \"inside_region\",\n"
       << "  \"horizon\": " << kHorizon << ",\n"
-      << "  \"thread_count\": 1,\n"
       << "  \"configs\": [\n";
   for (size_t i = 0; i < configs.size(); ++i) {
     const Config& c = configs[i];

@@ -4,8 +4,8 @@
 // Shared plumbing for the BENCH_*.json emitters:
 //
 //  * every summary gains a "metrics" section — the global registry's JSON
-//    snapshot, so a bench artifact carries the engine counters (cache
-//    hits, WAL syncs, retransmissions, ...) that explain its numbers;
+//    snapshot, so a bench artifact carries the engine counters (atomic
+//    solves, WAL syncs, retransmissions, ...) that explain its numbers;
 //  * each run can be appended to the committed result-trajectory files
 //    under bench/trajectories/, one JSON array per benchmark, so headline
 //    numbers are tracked across commits. The append is opt-in via
@@ -75,6 +75,27 @@ inline void AppendTrajectory(const std::string& name,
   } else {
     out << head << ",\n" << indented << "\n]\n";
   }
+}
+
+// The CPU model string from /proc/cpuinfo ("unknown" where there is none),
+// recorded beside "cpus" so trajectory entries carry a hardware
+// fingerprint. Quotes and backslashes are dropped to keep it a plain JSON
+// string.
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model;
+    for (char c : line.substr(colon + 1)) {
+      if (c != '"' && c != '\\') model += c;
+    }
+    model.erase(0, model.find_first_not_of(' '));
+    return model;
+  }
+  return "unknown";
 }
 
 // Finishes a BENCH_*.json emission. `body` is the summary object WITHOUT

@@ -12,10 +12,11 @@
 //    reporting per-tick p50/p99 and sustained updates/sec as counters.
 //  * main() measures the full sweep directly and writes BENCH_shard.json
 //    (appended to bench/trajectories/shard.json when
-//    MOST_BENCH_TRAJECTORY_DIR is set). The summary records "cpus": on a
-//    1-CPU container every shard count collapses to roughly serial time
-//    (caller-participation scheduling, docs/parallel_eval.md), so scaling
-//    claims are only meaningful where cpus >= shards.
+//    MOST_BENCH_TRAJECTORY_DIR is set). The summary records "cpus" and
+//    "cpu_model": on a 1-CPU container every shard count collapses to
+//    roughly serial time (ParallelFor's caller runs every chunk itself,
+//    docs/sharding.md), so scaling claims are only meaningful where
+//    cpus >= shards.
 //
 // Workload knobs (defaults sized for CI; the committed trajectory run
 // uses MOST_BENCH_VEHICLES=100000 MOST_BENCH_UPDATES=10000):
@@ -79,14 +80,13 @@ struct CellResult {
 
 /// One sweep cell: `shards` shards over a fresh world, kTicks rounds of
 /// enqueue -> Advance -> gather. The first two rounds warm the continuous
-/// answer (registration full refresh + cache) and are not timed: the
+/// answer (registration full refresh) and are not timed: the
 /// steady-state delta path is what sharding is supposed to scale.
 CellResult RunCell(size_t vehicles, size_t updates, size_t shards) {
   auto db = MakeWorld(vehicles);
   ShardedEngine::Options opt;
   opt.shard_count = shards;
   opt.query_options.horizon = kHorizon;
-  opt.query_options.enable_interval_cache = true;
   ShardedEngine engine(db.get(), opt);
   auto query =
       ParseQuery("RETRIEVE o FROM CARS o WHERE EVENTUALLY INSIDE(o, P)");
@@ -168,6 +168,7 @@ void EmitBenchJson(const char* path) {
       << "  \"updates_per_tick\": " << updates << ",\n"
       << "  \"ticks\": " << kTicks << ",\n"
       << "  \"cpus\": " << std::thread::hardware_concurrency() << ",\n"
+      << "  \"cpu_model\": \"" << benchio::CpuModel() << "\",\n"
       << "  \"cells\": [\n";
   bool first = true;
   for (size_t shards : {1u, 2u, 4u, 8u}) {

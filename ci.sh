@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: build the Release and AddressSanitizer configurations and
 # run the full test suite in each. `./ci.sh tsan` additionally runs a
-# ThreadSanitizer configuration (slower; exercises the parallel evaluator,
-# thread pool, and query-manager concurrency suites).
+# ThreadSanitizer configuration (slower; exercises the thread pool, the
+# sharded engine, and the query-manager concurrency suites).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -50,9 +50,9 @@ MOST_FAILPOINTS="ci/crash_probe=noop" ./build-asan/tests/crash_restart_torture_t
 # channel storms (docs/robustness.md). The suite differentially checks a
 # governed system against an unconstrained oracle (degraded answers must
 # be marked kStale and stay inside the oracle's reach, and the system must
-# reconverge once limits lift); its summary test fails if no shed, cache
-# eviction, or channel drop ever happened, so this stage cannot silently
-# become a no-op.
+# reconverge once limits lift); its summary test fails if no shed or
+# channel drop ever happened, so this stage cannot silently become a
+# no-op.
 echo "=== overload-torture stage (env-armed failpoints, ASan) ==="
 MOST_FAILPOINTS="ci/overload_probe=noop" ./build-asan/tests/overload_torture_test
 
@@ -146,7 +146,6 @@ for metric in \
   most_governor_degrades \
   most_governor_storage_degraded \
   most_qm_shed_refreshes_total \
-  most_interval_cache_evictions_total \
   most_shard_updates_routed_total \
   most_shard_updates_applied_total \
   most_shard_queue_depth \
@@ -230,10 +229,11 @@ awk -v base="$baseline" -v fresh="$fresh" 'BEGIN {
 
 if [[ "${1:-}" == "tsan" ]]; then
   run_config build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMOST_SANITIZE=thread
-  # The query-manager concurrency suite (TickAll through the pool, atomic
-  # refresh counters, delta splice under parallel evaluation) is the suite
-  # the delta path most needs under TSan; run it explicitly so a ctest
-  # filter change can never drop it from this configuration.
+  # The query-manager concurrency suite (registration, polling and TickAll
+  # from several threads, refresh counters read during refreshes, answer
+  # snapshots walked while a delta splice publishes) is the suite the
+  # delta path most needs under TSan; run it explicitly so a ctest filter
+  # change can never drop it from this configuration.
   echo "=== query-manager concurrency suite (TSan) ==="
   ./build-tsan/tests/query_manager_test
   ./build-tsan/tests/differential_test \

@@ -1,8 +1,8 @@
 // Observability tour: exercises every instrumented subsystem — FTL
 // evaluation (query manager, delta refresh), durable storage (WAL
 // appends, checkpoint), the distributed layer (lossy network + reliable
-// channel), resource governance (a shed refresh, interval-cache eviction,
-// and a coordinator deadline expiry), and a failpoint firing — then
+// channel), resource governance (a shed refresh and a coordinator
+// deadline expiry), and a failpoint firing — then
 // prints the per-query evaluation profile (EXPLAIN ANALYZE) and the full
 // Prometheus text exposition of the global metrics registry.
 //
@@ -98,16 +98,13 @@ void DriveDistributed() {
 // Governance: a warm continuous query whose next refresh blows a 1-row
 // governor budget — the shed lands in most_governor_sheds_total and
 // most_qm_shed_refreshes_total while the query keeps serving its previous
-// answer as kStale. A 64-byte interval-cache budget forces LRU evictions
-// on the same refreshes (docs/robustness.md).
+// answer as kStale (docs/robustness.md).
 void DriveGovernance() {
   MostDatabase db;
   (void)db.CreateClass("CARS", {}, /*spatial=*/true);
   (void)db.DefineRegion("P", Polygon::Rectangle({0, 0}, {100, 100}));
   QueryManager::Options opts;
   opts.horizon = 200;
-  opts.enable_interval_cache = true;
-  opts.interval_cache_max_bytes = 64;
   QueryManager qm(&db, opts);
   std::vector<ObjectId> ids;
   for (int i = 0; i < 8; ++i) {

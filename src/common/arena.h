@@ -23,7 +23,7 @@ namespace most {
 /// out of arena scratch before the arena is reset.
 ///
 /// Not thread-safe: one arena belongs to the single thread driving an
-/// evaluation. Pool workers use their own chunk-local scratch instead.
+/// evaluation.
 class BumpArena {
  public:
   struct Stats {

@@ -6,12 +6,9 @@
 
 namespace most {
 
-ThreadPool::ThreadPool(size_t thread_count) {
-  if (thread_count == 0) {
-    thread_count = std::max(1u, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(thread_count);
-  for (size_t i = 0; i < thread_count; ++i) {
+ThreadPool::ThreadPool(size_t worker_count) {
+  workers_.reserve(worker_count);
+  for (size_t i = 0; i < worker_count; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -72,12 +69,11 @@ void ParallelFor(ThreadPool* pool, size_t n,
 
   // Chunked dynamic scheduling: helpers and the caller race on an atomic
   // next-chunk cursor. The chunk size targets several chunks per thread so
-  // uneven per-index cost (some objects have many motion segments, some
-  // few) rebalances dynamically, and is capped so a very large n cannot
+  // uneven per-index cost (one shard may hold the heavier refreshes)
+  // rebalances dynamically, and is capped so a very large n cannot
   // degenerate into one oversized chunk per thread — with only
-  // n / (threads * 4) a 100k-object extraction handed each worker one
-  // ~6k-index chunk and the slowest straggler gated the whole batch
-  // (docs/parallel_eval.md "Grain sizing").
+  // n / (threads * 4) a 100k-object fan-out handed each worker one
+  // ~6k-index chunk and the slowest straggler gated the whole batch.
   struct Shared {
     std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};

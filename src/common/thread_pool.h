@@ -12,9 +12,11 @@
 namespace most {
 
 /// A fixed pool of worker threads draining one FIFO task queue. No work
-/// stealing, no priorities: the parallel FTL evaluator only needs flat
-/// fan-out over independent objects, and a single locked deque keeps the
-/// shutdown and exception semantics easy to reason about.
+/// stealing, no priorities: the sharded engine only needs flat fan-out
+/// over its shards (drain, refresh, scatter, gather), and a single locked
+/// deque keeps the shutdown and exception semantics easy to reason about.
+/// It is the engine's one source of parallelism (docs/sharding.md); query
+/// evaluation itself runs serially on whichever thread calls it.
 ///
 /// Tasks must not throw; MOST code reports failures through Status, and a
 /// task that needs to surface an error should capture a slot to write it
@@ -22,9 +24,9 @@ namespace most {
 /// process, same as an exception escaping std::thread.
 class ThreadPool {
  public:
-  /// Spawns `thread_count` workers. 0 means std::thread::hardware_concurrency
-  /// (at least 1).
-  explicit ThreadPool(size_t thread_count);
+  /// Spawns `worker_count` workers (the sharded engine passes its shard
+  /// count, always at least 2).
+  explicit ThreadPool(size_t worker_count);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -53,8 +55,8 @@ class ThreadPool {
 /// Runs fn(i) for every i in [0, n), partitioned into chunks executed by
 /// `pool`'s workers *and* the calling thread. Blocks until every index has
 /// been processed. With pool == nullptr (or n small) the loop runs serially
-/// on the caller, which is the thread_count == 1 "exact legacy behavior"
-/// path: the iteration order is then strictly 0..n-1.
+/// on the caller, in strict index order 0..n-1 (a one-shard engine has no
+/// pool at all).
 ///
 /// Safe to call from inside a pool task (nested parallelism): the caller
 /// thread always participates in chunk execution, so progress never depends

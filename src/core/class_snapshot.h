@@ -43,8 +43,7 @@ namespace most {
 ///
 /// Lifetime: a snapshot borrows the evaluation's BumpArena for its arrays
 /// and holds pointers into the database; it must not outlive either (it is
-/// rebuilt each evaluation — see docs/eval_internals.md). Read-only after
-/// Build(), so pool workers may share it.
+/// rebuilt each evaluation — see docs/eval_internals.md).
 class ClassSnapshot {
  public:
   ClassSnapshot() = default;  ///< Heap-backed (tests / no-arena callers).

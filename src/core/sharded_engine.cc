@@ -78,8 +78,7 @@ Status ShardedEngine::BuildShards() {
     shard->partition =
         std::make_shared<const std::set<ObjectId>>(std::move(owned[k]));
     QueryManager::Options qm_opts = options_.query_options;
-    qm_opts.thread_count = 1;  // Parallelism is across shards, not within.
-    qm_opts.listen = false;    // Fed by NoteUpdates batches in phase 2.
+    qm_opts.listen = false;  // Fed by NoteUpdates batches in phase 2.
     qm_opts.domain_partition = shard->partition;
     qm_opts.shard_id = static_cast<int64_t>(k);
     shard->qm = std::make_unique<QueryManager>(db_, qm_opts);

@@ -66,14 +66,13 @@ class ShardedEngine {
   struct Options {
     /// Number of shards; 0 sizes to std::thread::hardware_concurrency().
     size_t shard_count = 0;
-    /// Template for every per-shard QueryManager. thread_count is forced
-    /// to 1 (parallelism comes from the engine fanning out across shards,
-    /// not from nested per-shard pools), listen is forced off (the drain
-    /// feeds coalesced NoteUpdates batches), and domain_partition is
-    /// installed per shard. Options::motion_indexes may point to an
-    /// external *unfiltered* manager — the engine's own per-shard managers
-    /// are ownership-filtered and deliberately kept away from the
-    /// evaluator, whose DIST-partner pruning assumes full class coverage.
+    /// Template for every per-shard QueryManager. listen is forced off
+    /// (the drain feeds coalesced NoteUpdates batches), and
+    /// domain_partition is installed per shard. Options::motion_indexes
+    /// may point to an external *unfiltered* manager — the engine's own
+    /// per-shard managers are ownership-filtered and deliberately kept
+    /// away from the evaluator, whose DIST-partner pruning assumes full
+    /// class coverage.
     QueryManager::Options query_options;
     /// Directory for per-shard WALs (created if missing). Empty disables
     /// durability. Each drained update is appended to its owner shard's

@@ -1,16 +1,12 @@
 #include "ftl/eval.h"
 
 #include <algorithm>
-#include <atomic>
-#include <charconv>
 #include <cstdlib>
 #include <optional>
 #include <sstream>
 #include <string_view>
 
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
-#include "ftl/interval_cache.h"
 #include "ftl/spatial_eval.h"
 #include "ftl/term_eval.h"
 #include "obs/metrics.h"
@@ -146,61 +142,6 @@ Status EnumerateInstantiations(
   }
 }
 
-// ---------------------------------------------------------------------------
-// Parallel, cache-aware atomic extraction.
-//
-// Atomic predicates are solved per variable instantiation, and
-// instantiations are independent of each other, so the extraction is
-// partitioned across a thread pool and the per-binding interval sets are
-// merged back in enumeration order. The merge target is a std::map keyed by
-// the binding, so the resulting relation is byte-identical to the serial
-// path no matter how the work was scheduled. Solved sets are also cached by
-// (predicate fingerprint, binding) so a re-evaluation after an update only
-// re-solves the objects that were invalidated.
-// ---------------------------------------------------------------------------
-
-/// Lossless fingerprint rendering of a double (hex mantissa), so two
-/// distinct assigned values can never alias in the cache the way a rounded
-/// decimal print could.
-void AppendHexDouble(double v, std::string* out) {
-  char buf[40];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v,
-                                 std::chars_format::hex);
-  out->append(buf, ptr);
-  out->push_back('|');
-}
-
-/// Appends the exact values of every literal in the term. ToString()
-/// renders literals in decimal (fine for printing, lossy for keying);
-/// fingerprints append this suffix to disambiguate.
-void AppendTermLiterals(const TermPtr& term, std::string* out) {
-  if (term == nullptr) return;
-  if (term->kind() == FtlTerm::Kind::kLiteral &&
-      term->literal().is_numeric()) {
-    AppendHexDouble(term->literal().AsDouble().value(), out);
-  }
-  for (const TermPtr& child : term->children()) {
-    AppendTermLiterals(child, out);
-  }
-}
-
-void AppendWindow(Interval window, std::string* out) {
-  out->push_back('@');
-  out->append(std::to_string(window.begin));
-  out->push_back(',');
-  out->append(std::to_string(window.end));
-}
-
-/// Region geometry folded into the fingerprint: DefineRegion may rebind a
-/// name to a new polygon without any object update firing, so the cache
-/// must key on the shape itself, not the name.
-void AppendPolygon(const Polygon& polygon, std::string* out) {
-  for (const Point2& p : polygon.vertices()) {
-    AppendHexDouble(p.x, out);
-    AppendHexDouble(p.y, out);
-  }
-}
-
 /// One unit of atomic-extraction work: a fully materialized instantiation.
 struct AtomicJob {
   std::vector<ObjectId> binding;
@@ -225,70 +166,25 @@ Result<std::vector<AtomicJob>> MaterializeJobs(
 /// large enough that the check is free relative to the batch.
 constexpr size_t kBudgetBatchJobs = 4096;
 
-/// Solves one atomic relation over pre-materialized jobs: probes the cache,
-/// partitions the misses across the pool, stores them back, and merges
-/// every row in deterministic binding order. `fingerprint` empty disables
-/// caching for this atom. `solve` must be a pure function of the job (it
-/// runs concurrently on pool workers). `checkpoint` (may be empty) is the
-/// evaluator's budget gate, polled between batches on the calling thread
-/// so the quadratic loop cannot sail past its deadline.
+/// Solves one atomic relation over pre-materialized jobs, one job after
+/// another, keeping the bindings whose tick sets are non-empty.
+/// `checkpoint` is the evaluator's budget gate, polled every
+/// kBudgetBatchJobs jobs so the quadratic loop cannot sail past its
+/// deadline.
 Result<TemporalRelation> SolveAtomicRelation(
     std::vector<std::string> vars, const std::vector<AtomicJob>& jobs,
-    const std::string& fingerprint, const FtlEvaluator::Options& options,
     FtlEvalStats* stats,
     const std::function<Result<IntervalSet>(const AtomicJob&)>& solve,
-    const std::function<Status(size_t)>& checkpoint = {}) {
+    const std::function<Status(size_t)>& checkpoint) {
   TemporalRelation out;
   out.vars = std::move(vars);
-
-  std::vector<IntervalSet> results(jobs.size());
-  std::vector<char> have(jobs.size(), 0);
-  IntervalCache* cache =
-      fingerprint.empty() ? nullptr : options.interval_cache;
-  if (cache != nullptr) {
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (cache->Lookup(fingerprint, jobs[i].binding, &results[i])) {
-        have[i] = 1;
-        ++stats->cache_hits;
-      } else {
-        ++stats->cache_misses;
-      }
-    }
-  }
-  std::vector<size_t> misses;
   for (size_t i = 0; i < jobs.size(); ++i) {
-    if (!have[i]) misses.push_back(i);
-  }
-
-  std::vector<Status> errors(misses.size());
-  for (size_t base = 0; base < misses.size(); base += kBudgetBatchJobs) {
-    if (checkpoint) MOST_RETURN_IF_ERROR(checkpoint(0));
-    const size_t batch = std::min(kBudgetBatchJobs, misses.size() - base);
-    ParallelFor(options.pool, batch, [&](size_t k) {
-      const size_t m = base + k;
-      const AtomicJob& job = jobs[misses[m]];
-      Result<IntervalSet> r = solve(job);
-      if (!r.ok()) {
-        errors[m] = r.status();
-        return;
-      }
-      results[misses[m]] = std::move(r).value();
-      if (cache != nullptr) {
-        cache->Insert(fingerprint, job.binding, results[misses[m]]);
-      }
-    });
-  }
-  stats->atomic_evaluations += misses.size();
-  for (const Status& s : errors) {
-    MOST_RETURN_IF_ERROR(s);
-  }
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (!results[i].empty()) {
-      out.rows.emplace(jobs[i].binding, std::move(results[i]));
-    }
-    if (checkpoint && (i % kBudgetBatchJobs) == kBudgetBatchJobs - 1) {
+    if (i % kBudgetBatchJobs == 0) {
       MOST_RETURN_IF_ERROR(checkpoint(out.rows.size()));
     }
+    MOST_ASSIGN_OR_RETURN(IntervalSet when, solve(jobs[i]));
+    ++stats->atomic_evaluations;
+    if (!when.empty()) out.rows.emplace(jobs[i].binding, std::move(when));
   }
   return out;
 }
@@ -564,8 +460,6 @@ void NoteStatsDelta(const FtlEvalStats& before, const FtlEvalStats& after,
   note("join_pairs", before.join_pairs, after.join_pairs);
   note("assign_subevals", before.assign_subevals, after.assign_subevals);
   note("index_pruned", before.index_pruned, after.index_pruned);
-  note("cache_hit", before.cache_hits, after.cache_hits);
-  note("cache_miss", before.cache_misses, after.cache_misses);
 }
 
 /// Registry-owned series the evaluator flushes its per-evaluation stats
@@ -580,8 +474,6 @@ struct FtlRegistrySeries {
   obs::Counter* join_pairs;
   obs::Counter* assign_subevals;
   obs::Counter* index_pruned;
-  obs::Counter* cache_hits;
-  obs::Counter* cache_misses;
   obs::Counter* arena_bytes;
   obs::Counter* arena_heap_fallbacks;
   obs::Histogram* latency;
@@ -605,10 +497,6 @@ struct FtlRegistrySeries {
       s.index_pruned =
           r.GetCounter("most_ftl_index_pruned_total",
                        "Objects skipped thanks to a motion index");
-      s.cache_hits = r.GetCounter("most_ftl_cache_hits_total",
-                                  "Atomic solves answered by the cache");
-      s.cache_misses = r.GetCounter("most_ftl_cache_misses_total",
-                                    "Atomic solves that had to run");
       s.arena_bytes = r.GetCounter(
           "most_ftl_arena_bytes_total",
           "Bump-arena bytes drawn by per-evaluation scratch structures");
@@ -771,8 +659,6 @@ Result<TemporalRelation> FtlEvaluator::EvaluateQueryUnprojected(
     s.join_pairs->Inc(stats_.join_pairs - before.join_pairs);
     s.assign_subevals->Inc(stats_.assign_subevals - before.assign_subevals);
     s.index_pruned->Inc(stats_.index_pruned - before.index_pruned);
-    s.cache_hits->Inc(stats_.cache_hits - before.cache_hits);
-    s.cache_misses->Inc(stats_.cache_misses - before.cache_misses);
     s.arena_bytes->Inc(stats_.arena_bytes - before.arena_bytes);
     s.arena_heap_fallbacks->Inc(stats_.arena_heap_fallbacks -
                                 before.arena_heap_fallbacks);
@@ -904,14 +790,6 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
       MOST_ASSIGN_OR_RETURN(const Polygon* region, db_.GetRegion(f->region()));
       const bool is_inside = f->kind() == FtlFormula::Kind::kInside;
 
-      // Cache fingerprint: kind + printed atom (variable and region names)
-      // + exact region geometry + window.
-      std::string fp = is_inside ? "IN|" : "OUT|";
-      fp += f->ToString();
-      fp.push_back('|');
-      AppendPolygon(*region, &fp);
-      AppendWindow(window, &fp);
-
       // Anchored (moving) region with a distinct anchor variable: a
       // two-variable atomic relation over the exact relative motion.
       if (!f->anchor().empty() && f->anchor() != f->var()) {
@@ -923,7 +801,7 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
                             options_.max_instantiations,
                             &stats_.instantiations));
         return SolveAtomicRelation(
-            std::move(vars), jobs, fp, options_, &stats_,
+            std::move(vars), jobs, &stats_,
             [&](const AtomicJob& job) -> Result<IntervalSet> {
               const MostObject* obj = job.inst.at(f->var());
               const MostObject* anchor = job.inst.at(f->anchor());
@@ -947,8 +825,8 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
       const ObjectClass* cls = domain_it->second;
 
       if (layout_soa_) {
-        return EvalInsideSoA(*f, domains, window, fp, is_inside,
-                             self_anchored, cls, *region);
+        return EvalInsideSoA(*f, domains, window, is_inside, self_anchored,
+                             cls, *region);
       }
 
       // Materialize the object list. INSIDE over an indexed class: only
@@ -992,54 +870,27 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
                                   options_.max_instantiations,
                                   &stats_.instantiations));
       }
+      std::vector<const MostObject*> objs;
+      objs.reserve(jobs.size());
       for (const AtomicJob& job : jobs) {
-        if (!job.inst.at(f->var())->IsSpatial()) {
+        const MostObject* obj = job.inst.at(f->var());
+        if (!obj->IsSpatial()) {
           return Status::TypeError("INSIDE/OUTSIDE over non-spatial object");
         }
+        objs.push_back(obj);
       }
 
-      // Probe the cache, then extract the misses as one batch partitioned
-      // across the pool (spatial_eval owns the per-object kinematics).
+      // spatial_eval owns the per-object kinematics.
+      std::vector<IntervalSet> solved = InsideTicksBatch(
+          objs, self_anchored ? objs : std::vector<const MostObject*>{},
+          *region, window);
+      stats_.atomic_evaluations += jobs.size();
       TemporalRelation out;
       out.vars = {f->var()};
-      std::vector<IntervalSet> results(jobs.size());
-      std::vector<char> have(jobs.size(), 0);
-      IntervalCache* cache = options_.interval_cache;
-      if (cache != nullptr) {
-        for (size_t i = 0; i < jobs.size(); ++i) {
-          if (cache->Lookup(fp, jobs[i].binding, &results[i])) {
-            have[i] = 1;
-            ++stats_.cache_hits;
-          } else {
-            ++stats_.cache_misses;
-          }
-        }
-      }
-      std::vector<size_t> misses;
-      std::vector<const MostObject*> miss_objs;
       for (size_t i = 0; i < jobs.size(); ++i) {
-        if (!have[i]) {
-          misses.push_back(i);
-          miss_objs.push_back(jobs[i].inst.at(f->var()));
-        }
-      }
-      std::vector<IntervalSet> solved = InsideTicksBatch(
-          miss_objs,
-          self_anchored ? miss_objs : std::vector<const MostObject*>{},
-          *region, window, options_.pool);
-      stats_.atomic_evaluations += misses.size();
-      for (size_t m = 0; m < misses.size(); ++m) {
-        IntervalSet when = is_inside ? std::move(solved[m])
-                                     : solved[m].Complement(window);
-        if (cache != nullptr) {
-          cache->Insert(fp, jobs[misses[m]].binding, when);
-        }
-        results[misses[m]] = std::move(when);
-      }
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        if (!results[i].empty()) {
-          out.rows.emplace(jobs[i].binding, std::move(results[i]));
-        }
+        IntervalSet when = is_inside ? std::move(solved[i])
+                                     : solved[i].Complement(window);
+        if (!when.empty()) out.rows.emplace(jobs[i].binding, std::move(when));
       }
       return out;
     }
@@ -1048,18 +899,13 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
       std::set<std::string> var_set(f->sphere_vars().begin(),
                                     f->sphere_vars().end());
       std::vector<std::string> vars = SortedVars(var_set);
-      std::string fp = "SPH|";
-      fp += f->ToString();
-      fp.push_back('|');
-      AppendHexDouble(f->radius(), &fp);
-      AppendWindow(window, &fp);
       MOST_ASSIGN_OR_RETURN(
           std::vector<AtomicJob> jobs,
           MaterializeJobs(vars, domains.classes, domains.filters,
                           options_.max_instantiations,
                           &stats_.instantiations));
       return SolveAtomicRelation(
-          std::move(vars), jobs, fp, options_, &stats_,
+          std::move(vars), jobs, &stats_,
           [&](const AtomicJob& job) -> Result<IntervalSet> {
             std::vector<const MostObject*> objects;
             for (const std::string& v : f->sphere_vars()) {
@@ -1316,16 +1162,6 @@ Result<TemporalRelation> FtlEvaluator::EvalCompare(const FtlFormula& f,
   bool invariant =
       IsTimeInvariant(f.lhs_term()) && IsTimeInvariant(f.rhs_term());
 
-  // Cache fingerprint: printed comparison plus hexfloat renderings of every
-  // literal (assignment substitution may have planted values whose decimal
-  // printout is lossy) and the window.
-  std::string fp = "CMP|";
-  fp += f.ToString();
-  fp.push_back('|');
-  AppendTermLiterals(f.lhs_term(), &fp);
-  AppendTermLiterals(f.rhs_term(), &fp);
-  AppendWindow(window, &fp);
-
   // Index-pruned DIST join: with one side of DIST(a,b) <= c pinned by a
   // domain restriction (a delta re-evaluation pass) and the partner's
   // class indexed, the motion index supplies the partner candidates near
@@ -1401,7 +1237,7 @@ Result<TemporalRelation> FtlEvaluator::EvalCompare(const FtlFormula& f,
     std::set<std::string> other_vars;
     other->CollectObjectVars(&other_vars);
     if (other_vars.empty()) {
-      return EvalDistSoA(f, domains, window, fp, dist, other, op, vars);
+      return EvalDistSoA(f, domains, window, dist, other, op, vars);
     }
   }
   if (!jobs_materialized) {
@@ -1411,7 +1247,7 @@ Result<TemporalRelation> FtlEvaluator::EvalCompare(const FtlFormula& f,
                               &stats_.instantiations));
   }
   return SolveAtomicRelation(
-      std::move(vars), jobs, fp, options_, &stats_,
+      std::move(vars), jobs, &stats_,
       [&](const AtomicJob& job) -> Result<IntervalSet> {
         const Instantiation& inst = job.inst;
         IntervalSet when;
@@ -1478,8 +1314,8 @@ Result<TemporalRelation> FtlEvaluator::EvalCompare(const FtlFormula& f,
 
 Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
     const FtlFormula& f, const Domains& domains, Interval window,
-    const std::string& fp, bool is_inside, bool self_anchored,
-    const ObjectClass* cls, const Polygon& region) {
+    bool is_inside, bool self_anchored, const ObjectClass* cls,
+    const Polygon& region) {
   // Snapshot builds draw arena memory proportional to the class; check
   // the budget before, and again after so the bytes just drawn count.
   MOST_RETURN_IF_ERROR(BudgetCheckpoint(0));
@@ -1545,30 +1381,8 @@ Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
     }
   }
 
-  TemporalRelation out;
-  out.vars = {f.var()};
   const size_t n = cand.size();
   std::vector<IntervalSet> results(n);
-  std::vector<char> have(n, 0);
-  IntervalCache* cache = options_.interval_cache;
-  std::vector<ObjectId> key(1);
-  if (cache != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      key[0] = snap.id(cand[i]);
-      if (cache->Lookup(fp, key, &results[i])) {
-        have[i] = 1;
-        ++stats_.cache_hits;
-      } else {
-        ++stats_.cache_misses;
-      }
-    }
-  }
-  ArenaVector<uint32_t> misses{ArenaAllocator<uint32_t>(&arena_)};
-  misses.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!have[i]) misses.push_back(static_cast<uint32_t>(i));
-  }
-
   {
     obs::TraceSpan span("ftl/inside_ticks_batch");
     if (self_anchored) {
@@ -1576,40 +1390,34 @@ Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
       // (cf. InsideTicksRelative).
       IntervalSet base =
           region.Contains({0, 0}) ? IntervalSet(window) : IntervalSet();
-      for (uint32_t m : misses) results[m] = base;
+      std::fill(results.begin(), results.end(), base);
     } else {
-      ParallelFor(options_.pool, misses.size(), [&](size_t mi) {
-        thread_local SpatialScratch scratch;
-        uint32_t m = misses[mi];
-        results[m] =
-            SnapshotInsideTicks(snap, cand[m], region, window, &scratch);
-      });
+      SpatialScratch scratch;
+      for (size_t i = 0; i < n; ++i) {
+        results[i] =
+            SnapshotInsideTicks(snap, cand[i], region, window, &scratch);
+      }
     }
   }
-  stats_.atomic_evaluations += misses.size();
-  for (uint32_t m : misses) {
-    IntervalSet when =
-        is_inside ? std::move(results[m]) : results[m].Complement(window);
-    if (cache != nullptr) {
-      key[0] = snap.id(cand[m]);
-      cache->Insert(fp, key, when);
-    }
-    results[m] = std::move(when);
-  }
+  stats_.atomic_evaluations += n;
+  TemporalRelation out;
+  out.vars = {f.var()};
   auto hint = out.rows.end();
   for (size_t i = 0; i < n; ++i) {
-    if (results[i].empty()) continue;
+    IntervalSet when =
+        is_inside ? std::move(results[i]) : results[i].Complement(window);
+    if (when.empty()) continue;
     hint = out.rows.emplace_hint(hint,
                                  std::vector<ObjectId>{snap.id(cand[i])},
-                                 std::move(results[i]));
+                                 std::move(when));
   }
   return out;
 }
 
 Result<TemporalRelation> FtlEvaluator::EvalDistSoA(
     const FtlFormula& f, const Domains& domains, Interval window,
-    const std::string& fp, const FtlTerm* dist, const TermPtr& other,
-    FtlFormula::CmpOp op, const std::vector<std::string>& vars) {
+    const FtlTerm* dist, const TermPtr& other, FtlFormula::CmpOp op,
+    const std::vector<std::string>& vars) {
   TemporalRelation out;
   out.vars = vars;
 
@@ -1667,7 +1475,7 @@ Result<TemporalRelation> FtlEvaluator::EvalDistSoA(
 
   // The bound is instantiation-independent here; the legacy solver
   // evaluates it per job (before its spatial check), failing identically
-  // for every miss, so evaluating it once preserves error behaviour.
+  // for every job, so evaluating it once preserves error behaviour.
   Instantiation empty_inst;
   MOST_ASSIGN_OR_RETURN(Value bound_v,
                         EvalTermAt(other, empty_inst, window.begin));
@@ -1680,76 +1488,33 @@ Result<TemporalRelation> FtlEvaluator::EvalDistSoA(
     }
   }
 
-  std::vector<IntervalSet> results(total);
-  std::vector<char> have;
-  IntervalCache* cache = options_.interval_cache;
-  std::vector<ObjectId> key(2);
-  if (cache != nullptr) {
-    have.assign(total, 0);
-    size_t p = 0;
-    for (size_t i0 = 0; i0 < n0; ++i0) {
-      MOST_RETURN_IF_ERROR(BudgetCheckpoint(0));
-      key[0] = snap[0]->id(ext0[i0]);
-      for (size_t i1 = 0; i1 < n1; ++i1, ++p) {
-        key[1] = snap[1]->id(ext1[i1]);
-        if (cache->Lookup(fp, key, &results[p])) {
-          have[p] = 1;
-          ++stats_.cache_hits;
-        } else {
-          ++stats_.cache_misses;
-        }
-      }
-    }
-  }
-  ArenaVector<uint64_t> misses{ArenaAllocator<uint64_t>(&arena_)};
-  misses.reserve(total);
-  for (size_t p = 0; p < total; ++p) {
-    if (have.empty() || !have[p]) misses.push_back(p);
-  }
-
   // Column s of `vars` maps to DIST's (a, b) argument order.
   const bool dist_first = vars[0] == dist->var();
   const ClassSnapshot& a_snap = dist_first ? *snap[0] : *snap[1];
   const ClassSnapshot& b_snap = dist_first ? *snap[1] : *snap[0];
-  // The quadratic solve dwarfs the snapshot builds; run it in batches
-  // with a budget check between them so a deadline overrun aborts within
-  // one batch of extra work instead of sailing to the end.
-  constexpr size_t kBatch = 4096;
-  for (size_t base = 0; base < misses.size(); base += kBatch) {
-    MOST_RETURN_IF_ERROR(BudgetCheckpoint(0));
-    const size_t batch = std::min(kBatch, misses.size() - base);
-    ParallelFor(options_.pool, batch, [&](size_t k) {
-      thread_local SpatialScratch scratch;
-      const size_t p = static_cast<size_t>(misses[base + k]);
-      const uint32_t e0 = ext0[p / n1], e1 = ext1[p % n1];
-      const uint32_t ai = dist_first ? e0 : e1;
-      const uint32_t bi = dist_first ? e1 : e0;
-      results[p] = SnapshotDistCmpTicks(a_snap, ai, b_snap, bi, op, bound,
-                                        window, &scratch);
-    });
-  }
-  stats_.atomic_evaluations += misses.size();
-  if (cache != nullptr) {
-    for (uint64_t p64 : misses) {
-      const size_t p = static_cast<size_t>(p64);
-      key[0] = snap[0]->id(ext0[p / n1]);
-      key[1] = snap[1]->id(ext1[p % n1]);
-      cache->Insert(fp, key, results[p]);
-    }
-  }
-
+  // The quadratic solve dwarfs the snapshot builds; check the budget once
+  // per outer object and every kBudgetBatchJobs pairs within it, so a
+  // deadline overrun aborts within one batch of extra work instead of
+  // sailing to the end.
+  SpatialScratch scratch;
   auto hint = out.rows.end();
-  size_t p = 0;
   for (size_t i0 = 0; i0 < n0; ++i0) {
     const ObjectId id0 = snap[0]->id(ext0[i0]);
-    MOST_RETURN_IF_ERROR(BudgetCheckpoint(out.rows.size()));
-    for (size_t i1 = 0; i1 < n1; ++i1, ++p) {
-      if (results[p].empty()) continue;
+    for (size_t i1 = 0; i1 < n1; ++i1) {
+      if (i1 % kBudgetBatchJobs == 0) {
+        MOST_RETURN_IF_ERROR(BudgetCheckpoint(out.rows.size()));
+      }
+      const uint32_t ai = dist_first ? ext0[i0] : ext1[i1];
+      const uint32_t bi = dist_first ? ext1[i1] : ext0[i0];
+      IntervalSet when = SnapshotDistCmpTicks(a_snap, ai, b_snap, bi, op,
+                                              bound, window, &scratch);
+      if (when.empty()) continue;
       hint = out.rows.emplace_hint(
           hint, std::vector<ObjectId>{id0, snap[1]->id(ext1[i1])},
-          std::move(results[p]));
+          std::move(when));
     }
   }
+  stats_.atomic_evaluations += total;
   return out;
 }
 

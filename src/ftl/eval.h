@@ -19,9 +19,6 @@
 
 namespace most {
 
-class ThreadPool;
-class IntervalCache;
-
 /// The relation R_g the appendix associates with a subformula g: one row
 /// per instantiation of g's free object variables, carrying the set of
 /// ticks at which g is satisfied under that instantiation. Rows with empty
@@ -45,8 +42,6 @@ struct FtlEvalStats {
   size_t join_pairs = 0;          ///< Row pairs examined by joins.
   size_t assign_subevals = 0;     ///< Body evaluations for [x := q].
   size_t index_pruned = 0;        ///< Objects skipped thanks to an index.
-  size_t cache_hits = 0;          ///< Atomic solves answered by the cache.
-  size_t cache_misses = 0;        ///< Atomic solves that had to run.
   size_t arena_bytes = 0;         ///< Bump-arena bytes drawn by evaluations.
   size_t arena_heap_fallbacks = 0;  ///< Oversize arena requests sent to heap.
 };
@@ -90,18 +85,6 @@ class FtlEvaluator {
     /// object (the paper's combination of the index with the FTL
     /// algorithm). Not owned; may be null.
     const MotionIndexManager* motion_indexes = nullptr;
-    /// Optional thread pool for atomic-predicate extraction: objects are
-    /// independent until the join stages, so INSIDE / DIST / attribute
-    /// range atoms are partitioned across the pool's workers and merged
-    /// back in deterministic binding order. Null (or a 1-worker pool) is
-    /// the exact legacy serial path; any thread count produces
-    /// byte-identical relations (see docs/parallel_eval.md). Not owned.
-    ThreadPool* pool = nullptr;
-    /// Optional cache of atomic-predicate interval sets, keyed by
-    /// (predicate fingerprint, window, object ids) and invalidated per
-    /// object through the database's update listeners. Shared safely by
-    /// concurrent evaluators. Not owned; may be null.
-    IntervalCache* interval_cache = nullptr;
     /// Restricts the listed object variables to the given candidate ids
     /// for the whole evaluation: the result is exactly the unrestricted
     /// relation filtered to rows whose binding for each listed variable
@@ -185,19 +168,17 @@ class FtlEvaluator {
                                       const Domains& domains,
                                       Interval window);
 
-  /// SoA fast paths. Both replicate the legacy path's counting, caching,
-  /// error and result semantics exactly; they differ only in where the
-  /// motion coefficients are read from and how scratch memory is managed.
+  /// SoA fast paths. Both replicate the legacy path's counting, error
+  /// and result semantics exactly; they differ only in where the motion
+  /// coefficients are read from and how scratch memory is managed.
   Result<TemporalRelation> EvalInsideSoA(const FtlFormula& f,
                                          const Domains& domains,
-                                         Interval window,
-                                         const std::string& fp,
-                                         bool is_inside, bool self_anchored,
+                                         Interval window, bool is_inside,
+                                         bool self_anchored,
                                          const ObjectClass* cls,
                                          const Polygon& region);
   Result<TemporalRelation> EvalDistSoA(const FtlFormula& f,
                                        const Domains& domains, Interval window,
-                                       const std::string& fp,
                                        const FtlTerm* dist,
                                        const TermPtr& other,
                                        FtlFormula::CmpOp op,
@@ -240,8 +221,7 @@ class FtlEvaluator {
       std::pair<const ObjectClass*, const std::set<ObjectId>*>;
   std::map<SnapshotKey, ClassSnapshot> snapshots_;
   /// Parent node the next Eval() attaches its child to; null = profiling
-  /// off. Only mutated by the single thread driving the recursion (pool
-  /// workers never call Eval).
+  /// off.
   obs::ProfileNode* profile_current_ = nullptr;
 };
 

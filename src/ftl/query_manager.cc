@@ -93,19 +93,6 @@ void SpliceAnswerDelta(
 
 QueryManager::QueryManager(MostDatabase* db, Options options)
     : db_(db), options_(options) {
-  // thread_count == 1 is the exact serial path (no pool); 0 delegates to
-  // ThreadPool's hardware_concurrency sizing (docs/parallel_eval.md).
-  if (options_.thread_count != 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.thread_count);
-  }
-  if (options_.enable_interval_cache) {
-    size_t max_bytes = options_.interval_cache_max_bytes != 0
-                           ? options_.interval_cache_max_bytes
-                           : ResourceGovernor::Global()
-                                 .limits()
-                                 .interval_cache_max_bytes;
-    cache_ = std::make_unique<IntervalCache>(1u << 20, max_bytes);
-  }
   if (options_.listen) {
     listener_id_ = db_->AddUpdateListener(
         [this](const std::string& class_name, ObjectId id) {
@@ -121,8 +108,6 @@ QueryManager::~QueryManager() {
 FtlEvaluator::Options QueryManager::EvalOptions() const {
   FtlEvaluator::Options o;
   o.motion_indexes = options_.motion_indexes;
-  o.pool = pool_.get();
-  o.interval_cache = cache_.get();
   o.layout = options_.layout;
   o.budget = EffectiveBudget();
   return o;
@@ -210,9 +195,6 @@ void QueryManager::NoteShed(Continuous* cq, DegradeReason reason, Tick now,
 }
 
 void QueryManager::OnUpdate(const std::string& class_name, ObjectId id) {
-  // Drop the updated object's cached interval sets before anything can
-  // re-evaluate against stale entries.
-  if (cache_ != nullptr) cache_->Invalidate(id);
   std::lock_guard<std::mutex> lock(mu_);
   NoteUpdateLocked(class_name, id, db_->Now());
 }
@@ -220,9 +202,6 @@ void QueryManager::OnUpdate(const std::string& class_name, ObjectId id) {
 void QueryManager::NoteUpdates(const std::string& class_name,
                                const std::vector<ObjectId>& ids) {
   if (ids.empty()) return;
-  if (cache_ != nullptr) {
-    for (ObjectId id : ids) cache_->Invalidate(id);
-  }
   std::lock_guard<std::mutex> lock(mu_);
   Tick now = db_->Now();
   for (ObjectId id : ids) NoteUpdateLocked(class_name, id, now);
@@ -416,13 +395,9 @@ Status QueryManager::RefreshFull(Continuous* cq, const char* reason) {
   if (cq->evaluations == 0 || now > cq->expires_at) {
     // Re-anchor the window only at registration and on expiry. Update-
     // triggered refreshes keep the window so delta and full paths stay
-    // byte-identical (and interval-cache fingerprints, which embed the
-    // window, stay warm).
+    // byte-identical.
     cq->window_begin = now;
     cq->expires_at = TickSaturatingAdd(now, options_.horizon);
-    // Entries keyed to windows the clock has outrun can never be probed
-    // again; drop them instead of letting them crowd the cache.
-    if (cache_ != nullptr) cache_->EvictWindowsEndingBefore(now);
   }
   const size_t dirty_total = DirtyTotal(cq->dirty_objects);
   auto profile =
@@ -984,22 +959,14 @@ Status QueryManager::TickAll() {
     }
     stale.erase(stale.begin(), stale.begin() + shed_n);
   }
-  // One batch through the pool: map nodes are stable and each worker
-  // refreshes a distinct entry, so no further locking is needed. Each
-  // refresh may itself fan its atomic extraction out to the same pool
-  // (ParallelFor callers participate, so nesting cannot deadlock).
-  std::vector<Status> statuses(stale.size());
-  const obs::TraceContext batch_ctx = span.context();
-  ParallelFor(pool_.get(), stale.size(), [&](size_t i) {
-    // Pool threads have no ambient context; install the batch span's so
-    // each Refresh's span parents under qm/tick_all across threads.
-    obs::TraceContextGuard guard(batch_ctx);
-    statuses[i] = Refresh(stale[i]);
-  });
-  for (const Status& s : statuses) {
-    MOST_RETURN_IF_ERROR(s);
+  // Every admitted entry is refreshed even when an earlier one fails; the
+  // first error is reported.
+  Status first_error = Status::OK();
+  for (Continuous* cq : stale) {
+    Status s = Refresh(cq);
+    if (first_error.ok()) first_error = std::move(s);
   }
-  return Status::OK();
+  return first_error;
 }
 
 Result<QueryManager::QueryId> QueryManager::RegisterTrigger(

@@ -17,7 +17,6 @@
 #include "core/object_model.h"
 #include "ftl/ast.h"
 #include "ftl/eval.h"
-#include "ftl/interval_cache.h"
 #include "obs/profile.h"
 
 namespace most {
@@ -83,14 +82,6 @@ class QueryManager {
     /// Optional Section 4 motion indexes consulted by the evaluator (not
     /// owned; may be null).
     const MotionIndexManager* motion_indexes = nullptr;
-    /// Worker threads for atomic-predicate extraction and for batch
-    /// re-evaluation (TickAll). 1 keeps the exact legacy serial path
-    /// (no pool at all); 0 sizes the pool to
-    /// std::thread::hardware_concurrency(); any value produces
-    /// byte-identical answers (docs/parallel_eval.md). Earlier releases
-    /// treated 0 as silently serial — ask for 1 explicitly if that is
-    /// what you want.
-    size_t thread_count = 1;
     /// Register an update listener on the database (the default). The
     /// sharded engine turns this off and instead feeds each shard's
     /// manager coalesced per-tick batches through NoteUpdates, so the
@@ -106,10 +97,6 @@ class QueryManager {
     /// which is what makes the sharded engine's union-over-shards gather
     /// byte-identical to a single-shard oracle (docs/sharding.md).
     std::shared_ptr<const std::set<ObjectId>> domain_partition;
-    /// Caches atomic-predicate interval sets across re-evaluations,
-    /// invalidated per object by database update listeners. Off by
-    /// default; safe to combine with any thread_count.
-    bool enable_interval_cache = false;
     /// Degraded-mode staleness horizon: an object that has not received
     /// an explicit update for more than this many ticks is considered
     /// stale, and continuous/persistent answer tuples binding it are
@@ -156,10 +143,6 @@ class QueryManager {
     /// that repeatedly blows the budget cannot monopolize refresh
     /// capacity. 0 = governor fallback, then no cooldown.
     Tick degrade_cooldown_ticks = 0;
-    /// Byte budget for the shared interval cache (LRU eviction; the
-    /// most_interval_cache_bytes gauge tracks the footprint either way).
-    /// 0 = governor fallback, then unbounded.
-    size_t interval_cache_max_bytes = 0;
     /// Shard this manager serves inside a sharded engine (-1 standalone).
     /// Purely observational: stamped onto trace spans and slow-query-log
     /// entries so a slow line names the shard it ran on.
@@ -269,8 +252,9 @@ class QueryManager {
   };
   Result<RefreshCounters> QueryRefreshCounters(QueryId id) const;
   /// Manager-wide totals across all queries (including cancelled ones).
-  /// The pair is taken under one lock, so concurrent refreshes can never
-  /// produce a torn read (a delta counted without its sibling).
+  /// The pair is taken under one lock, so a refresh running on another
+  /// thread can never produce a torn read (a delta counted without its
+  /// sibling).
   RefreshCounters TotalRefreshCounters() const;
 
   /// Degraded-answer state of one continuous query. `reason` is kNone
@@ -298,24 +282,19 @@ class QueryManager {
   Result<std::shared_ptr<const obs::QueryProfile>> Profile(QueryId id) const;
 
   /// Advances every registered continuous query to the current tick in one
-  /// batch: stale answers (dirty or expired) are re-evaluated, fanned out
-  /// across the worker pool when thread_count > 1. Answers are identical
-  /// to refreshing each query serially; returns the first error in query
-  /// id order. Database mutations must not run concurrently with this.
+  /// batch: stale answers (dirty or expired) are re-evaluated one after
+  /// another on the calling thread (parallelism lives one level up, across
+  /// the sharded engine's shards). Every admitted entry is refreshed;
+  /// returns the first error. Database mutations must not run
+  /// concurrently with this.
   Status TickAll();
 
-  /// The shared atomic-interval cache, or null when not enabled.
-  IntervalCache* interval_cache() { return cache_.get(); }
-
-  /// The worker pool, or null when thread_count == 1.
-  ThreadPool* pool() { return pool_.get(); }
-
   /// Batch form of the update listener, for managers created with
-  /// Options::listen == false: invalidates the ids' cached interval sets,
-  /// marks continuous-query dirty sets, and extends persistent-query
-  /// recordings — everything OnUpdate does, under one lock acquisition
-  /// for the whole batch. Safe to call concurrently from several threads
-  /// (the sharded engine calls it once per shard per drained tick).
+  /// Options::listen == false: marks continuous-query dirty sets and
+  /// extends persistent-query recordings — everything OnUpdate does, under
+  /// one lock acquisition for the whole batch. Safe to call concurrently
+  /// from several threads (the sharded engine calls it once per shard per
+  /// drained tick).
   void NoteUpdates(const std::string& class_name,
                    const std::vector<ObjectId>& ids);
 
@@ -426,14 +405,12 @@ class QueryManager {
   bool NeedsRefresh(const Continuous& cq, Tick now) const;
   /// Brings one entry up to date: no-op when clean, delta when only a
   /// small dirty set is pending, full otherwise (or when the delta path
-  /// errors). Callers must either hold mu_ or (TickAll) guarantee
-  /// exclusive access to this entry; distinct entries may be refreshed
-  /// concurrently.
+  /// errors). Caller holds mu_.
   Status Refresh(Continuous* cq);
   /// Full window re-evaluation; re-anchors the window at registration and
-  /// on expiry (evicting outrun interval-cache windows). `reason` says why
-  /// the full path ran (initial/expired/forced/dirty_fraction/delta_error/
-  /// delta_disabled) — recorded in the profile and the fallback counters.
+  /// on expiry. `reason` says why the full path ran (initial/expired/
+  /// forced/dirty_fraction/delta_error/delta_disabled) — recorded in the
+  /// profile and the fallback counters.
   Status RefreshFull(Continuous* cq, const char* reason);
   /// Delta re-evaluation over the existing window: evicts rows binding a
   /// dirty object, runs one domain-restricted pass per dirty column, and
@@ -441,8 +418,7 @@ class QueryManager {
   Status RefreshDelta(Continuous* cq);
 
   /// Makes cq->full safe to mutate: clones it when a snapshot still
-  /// shares it (copy-on-write). Caller holds mu_ (or TickAll's exclusive
-  /// access to the entry).
+  /// shares it (copy-on-write). Caller holds mu_.
   static TemporalRelation& WritableFull(Continuous* cq);
   /// Re-derives cq->answer from cq->full: the same object when the
   /// projection is the identity, a fresh projection otherwise.
@@ -510,8 +486,6 @@ class QueryManager {
 
   MostDatabase* db_;
   Options options_;
-  std::unique_ptr<ThreadPool> pool_;     // Null when thread_count <= 1.
-  std::unique_ptr<IntervalCache> cache_; // Null unless enabled.
   MostDatabase::ListenerId listener_id_ = 0;
 
   /// Guards the query registries. Evaluation reads the database without a
@@ -522,11 +496,12 @@ class QueryManager {
   QueryId next_id_ = 1;
   std::map<QueryId, Continuous> continuous_;
   std::map<QueryId, Persistent> persistent_;
-  /// Manager-wide refresh totals. TickAll fans refreshes of distinct
-  /// entries out across the pool while holding mu_, so the pair lives
-  /// under its own small mutex: writers increment one member, readers
-  /// snapshot both consistently (two independent atomics allowed a torn
-  /// read that counted a refresh in neither or one of the two).
+  /// Manager-wide refresh totals, read by TotalRefreshCounters from any
+  /// thread while a refresh may be running under mu_. The pair lives
+  /// under its own small mutex so a reader never waits out a whole
+  /// refresh: writers increment one member, readers snapshot both
+  /// consistently (two independent atomics allowed a torn read that
+  /// counted a refresh in neither or one of the two).
   mutable std::mutex totals_mu_;
   RefreshCounters totals_;
 };

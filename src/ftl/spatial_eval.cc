@@ -112,15 +112,15 @@ IntervalSet InsideTicksRelative(const MostObject& obj,
 std::vector<IntervalSet> InsideTicksBatch(
     const std::vector<const MostObject*>& objs,
     const std::vector<const MostObject*>& anchors, const Polygon& polygon,
-    Interval window, ThreadPool* pool) {
+    Interval window) {
   obs::TraceSpan span("ftl/inside_ticks_batch");
   std::vector<IntervalSet> out(objs.size());
-  ParallelFor(pool, objs.size(), [&](size_t i) {
+  for (size_t i = 0; i < objs.size(); ++i) {
     out[i] = anchors.empty()
                  ? InsideTicks(*objs[i], polygon, window)
                  : InsideTicksRelative(*objs[i], *anchors[i], polygon,
                                        window);
-  });
+  }
   return out;
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/interval.h"
-#include "common/thread_pool.h"
 #include "core/class_snapshot.h"
 #include "core/object_model.h"
 #include "ftl/ast.h"
@@ -36,16 +35,13 @@ IntervalSet InsideTicksRelative(const MostObject& obj,
                                 const MostObject& anchor,
                                 const Polygon& polygon, Interval window);
 
-/// Batch inside-extraction partitioned across `pool` (serial when pool is
-/// null or has one worker): slot i of the result is InsideTicks(*objs[i])
+/// Batch inside-extraction: slot i of the result is InsideTicks(*objs[i])
 /// — or InsideTicksRelative(*objs[i], *anchors[i]) when `anchors` is
-/// non-empty (it must then be parallel to objs). Objects are independent,
-/// every slot is produced by the same serial solver, and slot order is
-/// fixed by the input, so the result is identical at any thread count.
+/// non-empty (it must then be parallel to objs).
 std::vector<IntervalSet> InsideTicksBatch(
     const std::vector<const MostObject*>& objs,
     const std::vector<const MostObject*>& anchors, const Polygon& polygon,
-    Interval window, ThreadPool* pool);
+    Interval window);
 
 /// Ticks at which DIST(a, b) `op` bound holds. Exact: per pair of aligned
 /// motion segments the distance is the square root of a quadratic in t.

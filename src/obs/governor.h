@@ -24,8 +24,6 @@ namespace most {
 ///   refresh_queue_limit / degrade_cooldown_ticks for any knob its own
 ///   Options left at zero, and reports every shed refresh via
 ///   NoteDegrade();
-/// * the interval cache takes its byte budget from
-///   limits().interval_cache_max_bytes the same way;
 /// * reliable endpoints take their buffer caps from the channel_* limits,
 ///   and register a backpressure probe so `most_shell health` (or any
 ///   operator tooling) can enumerate per-peer pressure without holding a
@@ -49,8 +47,6 @@ class ResourceGovernor {
     size_t refresh_queue_limit = 0;
     /// Fallback per-query cooldown (ticks) after an exhausted refresh.
     Tick degrade_cooldown_ticks = 0;
-    /// Fallback byte budget for interval caches (LRU eviction).
-    size_t interval_cache_max_bytes = 0;
     /// Fallback caps on a reliable endpoint's per-peer unacked buffer.
     size_t channel_max_unacked_messages = 0;
     size_t channel_max_unacked_bytes = 0;

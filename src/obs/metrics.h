@@ -103,7 +103,7 @@ struct FamilySnapshot {
 ///   object, so call sites across the engine share one series. Pointers
 ///   stay valid for the registry's lifetime.
 /// * Attached: long-lived per-instance objects (SimNetwork,
-///   ReliableEndpoint, IntervalCache, QueryManager) own their counters —
+///   ReliableEndpoint, QueryManager) own their counters —
 ///   their ad-hoc Stats structs are thin views over these — and attach
 ///   them so exports see them. Same-key series are summed at collection
 ///   time; DetachMetric folds the final counter/histogram value into a

@@ -1,17 +1,12 @@
 // Differential test harness for the FTL evaluation engine.
 //
-// Three implementations must agree on randomized worlds and formulas:
-//   1. the interval evaluator, serial path (no pool, no cache),
-//   2. the state-stepping reference evaluator (NaiveFtlEvaluator), and
-//   3. the parallel path (worker pool + atomic-interval cache), whose
-//      contract is *byte-identical* relations at any thread count, cold or
-//      warm cache, before and after invalidating updates.
-//
-// Two corpora: grid worlds (all geometry snapped to a 0.25 grid so the
-// naive oracle computes predicate flips exactly like the interval solver)
-// are checked three ways; fleet worlds (continuous coordinates from the
-// workload generator) are checked serial-vs-parallel only, since both
-// sides share the same kinematic solvers there.
+// The interval evaluator must agree with the state-stepping reference
+// evaluator (NaiveFtlEvaluator) on randomized grid worlds (all geometry
+// snapped to a 0.25 grid so the naive oracle computes predicate flips
+// exactly like the interval solver) and formulas, before and after
+// explicit updates. The remaining corpora hold other axes to the same
+// answers: instrumentation on/off, the two memory layouts, delta vs full
+// refresh, and sharded vs unsharded evaluation.
 
 #include <gtest/gtest.h>
 
@@ -22,11 +17,9 @@
 
 #include "common/failpoint.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/object_model.h"
 #include "ftl/ast.h"
 #include "ftl/eval.h"
-#include "ftl/interval_cache.h"
 #include "ftl/naive_eval.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -158,17 +151,6 @@ void BuildGridWorld(Rng* rng, MostDatabase* db, int num_objects) {
   }
 }
 
-// Shared pools for the whole binary: also exercises pool reuse across many
-// independent evaluations.
-ThreadPool* Pool2() {
-  static ThreadPool pool(2);
-  return &pool;
-}
-ThreadPool* Pool4() {
-  static ThreadPool pool(4);
-  return &pool;
-}
-
 // Evaluates `query` with the given options and requires an identical
 // relation to `expected`.
 void ExpectSameRelation(const MostDatabase& db, const FtlQuery& query,
@@ -184,9 +166,27 @@ void ExpectSameRelation(const MostDatabase& db, const FtlQuery& query,
       << "\ngot: " << rel->ToString() << "\nwant: " << expected.ToString();
 }
 
-// Corpus 1: grid worlds, three-way differential (serial interval evaluator
-// vs naive oracle vs parallel/cached paths) on > 200 random queries.
-TEST(DifferentialTest, SerialNaiveAndParallelAgreeOnGridWorlds) {
+// Evaluates `query` with the interval evaluator and the naive oracle and
+// requires identical relations.
+void ExpectOracleAgrees(const MostDatabase& db, const FtlQuery& query,
+                        Interval window, const char* label) {
+  FtlEvaluator serial(db);
+  NaiveFtlEvaluator naive(db);
+  auto serial_rel = serial.EvaluateQuery(query, window);
+  auto naive_rel = naive.EvaluateQuery(query, window);
+  ASSERT_TRUE(serial_rel.ok()) << label << ": " << serial_rel.status()
+                               << "\nformula: " << query.where->ToString();
+  ASSERT_TRUE(naive_rel.ok()) << label << ": " << naive_rel.status();
+  EXPECT_EQ(serial_rel->vars, naive_rel->vars) << label;
+  EXPECT_EQ(serial_rel->rows, naive_rel->rows)
+      << label << ": oracle diverged\nformula: " << query.where->ToString()
+      << "\nfast: " << serial_rel->ToString()
+      << "\nnaive: " << naive_rel->ToString();
+}
+
+// Corpus 1: grid worlds, interval evaluator vs naive oracle on > 200
+// random queries, one of them per world after an explicit update.
+TEST(DifferentialTest, SerialAndNaiveAgreeOnGridWorlds) {
   int queries = 0;
   for (uint64_t seed : test::SuiteSeeds("DifferentialTest.GridWorlds",
                                         {1, 2, 3, 4, 5, 6, 42, 1997, 2026})) {
@@ -197,12 +197,6 @@ TEST(DifferentialTest, SerialNaiveAndParallelAgreeOnGridWorlds) {
       ASSERT_NO_FATAL_FAILURE(
           BuildGridWorld(&rng, &db, 2 + static_cast<int>(world % 3)));
 
-      // One cache per world, invalidated through the database's update
-      // listeners; reused across rounds so later rounds hit warm entries
-      // from earlier formulas sharing atoms.
-      IntervalCache cache;
-      cache.AttachTo(&db);
-
       for (int round = 0; round < 6; ++round) {
         ++queries;
         FtlQuery query;
@@ -211,42 +205,12 @@ TEST(DifferentialTest, SerialNaiveAndParallelAgreeOnGridWorlds) {
         query.where = RandomFormula(&rng, 2);
         Interval window(0, 30);
 
-        // Reference pair: serial interval evaluator and the oracle.
-        FtlEvaluator serial(db);
-        NaiveFtlEvaluator naive(db);
-        auto serial_rel = serial.EvaluateQuery(query, window);
-        auto naive_rel = naive.EvaluateQuery(query, window);
-        ASSERT_TRUE(serial_rel.ok())
-            << serial_rel.status()
-            << "\nformula: " << query.where->ToString();
-        ASSERT_TRUE(naive_rel.ok()) << naive_rel.status();
-        EXPECT_EQ(serial_rel->vars, naive_rel->vars);
-        EXPECT_EQ(serial_rel->rows, naive_rel->rows)
-            << "oracle diverged\nformula: " << query.where->ToString()
-            << "\nfast: " << serial_rel->ToString()
-            << "\nnaive: " << naive_rel->ToString();
-
-        // Parallel paths must be byte-identical to serial: two thread
-        // counts, then cold + warm cache.
-        FtlEvaluator::Options p2;
-        p2.pool = Pool2();
-        ExpectSameRelation(db, query, window, p2, *serial_rel, "pool2");
-
-        FtlEvaluator::Options p4;
-        p4.pool = Pool4();
-        ExpectSameRelation(db, query, window, p4, *serial_rel, "pool4");
-
-        FtlEvaluator::Options cached;
-        cached.pool = Pool4();
-        cached.interval_cache = &cache;
-        ExpectSameRelation(db, query, window, cached, *serial_rel,
-                           "pool4+cache cold");
-        ExpectSameRelation(db, query, window, cached, *serial_rel,
-                           "pool4+cache warm");
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectOracleAgrees(db, query, window, "pre-update"));
       }
 
-      // An explicit update must invalidate exactly the stale entries: the
-      // cached path must track the serial path across the change.
+      // After an explicit update the evaluator must still match the
+      // oracle on the changed world.
       ASSERT_TRUE(db.SetMotion("M", ObjectId(0),
                                {Grid(&rng, -20, 20), Grid(&rng, -20, 20)},
                                {Grid(&rng, -2, 2), Grid(&rng, -2, 2)})
@@ -256,15 +220,8 @@ TEST(DifferentialTest, SerialNaiveAndParallelAgreeOnGridWorlds) {
       query.retrieve = {"o", "n"};
       query.from = {{"M", "o"}, {"M", "n"}};
       query.where = RandomFormula(&rng, 2);
-      Interval window(0, 30);
-      FtlEvaluator serial(db);
-      auto serial_rel = serial.EvaluateQuery(query, window);
-      ASSERT_TRUE(serial_rel.ok()) << serial_rel.status();
-      FtlEvaluator::Options cached;
-      cached.pool = Pool4();
-      cached.interval_cache = &cache;
-      ExpectSameRelation(db, query, window, cached, *serial_rel,
-                         "post-update cached");
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectOracleAgrees(db, query, Interval(0, 30), "post-update"));
     }
   }
   if (!test::SeedOverridden()) {
@@ -337,75 +294,12 @@ TEST(DifferentialTest, InstrumentationOnAndOffAgreeByteForByte) {
   }
 }
 
-// Corpus 2: continuous fleet worlds from the workload generator. The naive
-// oracle is skipped (grid-free geometry), but serial vs parallel vs cached
-// must still be byte-identical, including across motion updates applied
-// mid-stream.
-TEST(DifferentialTest, ParallelMatchesSerialOnFleets) {
-  for (uint64_t seed :
-       test::SuiteSeeds("DifferentialTest.Fleets", {7, 11, 4099})) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    FleetGenerator::Options fopt;
-    fopt.num_vehicles = 48;
-    fopt.area = 400.0;
-    fopt.change_probability = 0.01;
-    fopt.seed = seed;
-    FleetGenerator fleet(fopt);
-    MostDatabase db;
-    ASSERT_TRUE(fleet.Populate(&db, "V").ok());
-    Rng rng(seed * 31 + 1);
-    ASSERT_TRUE(db.DefineRegion("R1", RandomRegion(&rng, fopt.area, 0.2)).ok());
-    ASSERT_TRUE(db.DefineRegion("R2", RandomRegion(&rng, fopt.area, 0.1)).ok());
-
-    IntervalCache cache;
-    cache.AttachTo(&db);
-    std::vector<MotionUpdate> updates = fleet.GenerateUpdates(64);
-    size_t next_update = 0;
-
-    for (Tick now = 0; now <= 48; now += 16) {
-      db.clock().AdvanceTo(now);
-      while (next_update < updates.size() && updates[next_update].at <= now) {
-        if (updates[next_update].at == now) {
-          ASSERT_TRUE(
-              FleetGenerator::Apply(&db, "V", updates[next_update]).ok());
-        }
-        ++next_update;
-      }
-
-      FtlQuery query;
-      query.retrieve = {"o", "n"};
-      query.from = {{"V", "o"}, {"V", "n"}};
-      query.where = FtlFormula::And(
-          FtlFormula::Eventually(FtlFormula::Inside("o", "R1")),
-          FtlFormula::Until(
-              FtlFormula::Compare(FtlFormula::CmpOp::kGe,
-                                  FtlTerm::Dist("o", "n"),
-                                  FtlTerm::Literal(Value(5.0))),
-              FtlFormula::Inside("n", "R2")));
-      Interval window(now, now + 64);
-
-      FtlEvaluator serial(db);
-      auto serial_rel = serial.EvaluateQuery(query, window);
-      ASSERT_TRUE(serial_rel.ok()) << serial_rel.status();
-
-      FtlEvaluator::Options cached;
-      cached.pool = Pool4();
-      cached.interval_cache = &cache;
-      ExpectSameRelation(db, query, window, cached, *serial_rel,
-                         "fleet pool4+cache cold");
-      ExpectSameRelation(db, query, window, cached, *serial_rel,
-                         "fleet pool4+cache warm");
-    }
-  }
-}
-
-// Corpus 2b: memory-layout crossing. The SoA snapshot/kernel paths
+// Corpus 2: memory-layout crossing. The SoA snapshot/kernel paths
 // (EvalLayout::kSoa, the default) replicate the legacy per-object solvers
-// bit-for-bit, so every layout x execution-path combination must produce
-// byte-identical relations: legacy/soa x serial, legacy/soa x pool, soa x
-// cache cold/warm. Grid worlds reuse the random-formula generator, so the
-// crossing covers INSIDE/OUTSIDE (anchored and not), DIST comparisons,
-// boolean connectives and the temporal operators.
+// bit-for-bit, so both layouts must produce byte-identical relations.
+// Grid worlds reuse the random-formula generator, so the crossing covers
+// INSIDE/OUTSIDE (anchored and not), DIST comparisons, boolean
+// connectives and the temporal operators.
 TEST(DifferentialTest, LayoutsAgreeByteForByteAcrossPaths) {
   int queries = 0;
   for (uint64_t seed : test::SuiteSeeds("DifferentialTest.Layouts",
@@ -415,8 +309,6 @@ TEST(DifferentialTest, LayoutsAgreeByteForByteAcrossPaths) {
     for (int world = 0; world < 3; ++world) {
       MostDatabase db;
       ASSERT_NO_FATAL_FAILURE(BuildGridWorld(&rng, &db, 3 + world));
-      IntervalCache cache;
-      cache.AttachTo(&db);
       for (int round = 0; round < 8; ++round) {
         ++queries;
         FtlQuery query;
@@ -436,30 +328,6 @@ TEST(DifferentialTest, LayoutsAgreeByteForByteAcrossPaths) {
         soa_serial.layout = EvalLayout::kSoa;
         ExpectSameRelation(db, query, window, soa_serial, *baseline,
                            "soa serial");
-
-        FtlEvaluator::Options legacy_pool = legacy_serial;
-        legacy_pool.pool = Pool4();
-        ExpectSameRelation(db, query, window, legacy_pool, *baseline,
-                           "legacy pool4");
-
-        FtlEvaluator::Options soa_pool = soa_serial;
-        soa_pool.pool = Pool4();
-        ExpectSameRelation(db, query, window, soa_pool, *baseline,
-                           "soa pool4");
-
-        FtlEvaluator::Options soa_cached = soa_pool;
-        soa_cached.interval_cache = &cache;
-        ExpectSameRelation(db, query, window, soa_cached, *baseline,
-                           "soa pool4+cache cold");
-        ExpectSameRelation(db, query, window, soa_cached, *baseline,
-                           "soa pool4+cache warm");
-
-        // Cache entries written by the SoA path must serve the legacy
-        // path unchanged (same fingerprints, same value bytes).
-        FtlEvaluator::Options legacy_cached = legacy_serial;
-        legacy_cached.interval_cache = &cache;
-        ExpectSameRelation(db, query, window, legacy_cached, *baseline,
-                           "legacy reading soa-warmed cache");
       }
     }
   }
@@ -516,17 +384,15 @@ void RandomMutations(Rng* rng, MostDatabase* db) {
 }
 
 // Corpus 3: continuous-query maintenance. Three query managers watch the
-// same database through the same randomized update schedule — delta
-// (serial), full re-evaluation (serial), and delta with worker pool +
-// interval cache. Answer(CQ) must be byte-identical across all three after
-// every step: coalesced updates, deletions, creations, clock advances and
+// same database through the same randomized update schedule — delta,
+// full re-evaluation, and delta on the legacy layout. Answer(CQ) must be
+// byte-identical across all three after every step: coalesced updates, deletions, creations, clock advances and
 // window expiries included. The delta managers must actually serve from
 // the delta path (counters), otherwise this corpus silently degenerates
 // into full-vs-full.
 TEST(DifferentialTest, DeltaRefreshMatchesFullOnRandomizedUpdateSchedules) {
   int schedules = 0;
-  uint64_t delta_served_serial = 0;
-  uint64_t delta_served_parallel = 0;
+  uint64_t delta_served = 0;
   for (uint64_t seed : test::SuiteSeeds("DifferentialTest.DeltaRefresh",
                                         {1, 2, 3, 5, 8, 13, 21, 34, 55, 89})) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -541,16 +407,11 @@ TEST(DifferentialTest, DeltaRefreshMatchesFullOnRandomizedUpdateSchedules) {
       // realistic dirty fraction; lift the fallback so the delta path is
       // actually what gets differentially tested.
       delta_opt.delta_max_dirty_fraction = 1.0;
-      QueryManager delta_serial(&db, delta_opt);
+      QueryManager delta(&db, delta_opt);
 
       QueryManager::Options full_opt = delta_opt;
       full_opt.enable_delta_refresh = false;
-      QueryManager full_serial(&db, full_opt);
-
-      QueryManager::Options par_opt = delta_opt;
-      par_opt.thread_count = 4;
-      par_opt.enable_interval_cache = true;
-      QueryManager delta_parallel(&db, par_opt);
+      QueryManager full(&db, full_opt);
 
       // Delta path on the legacy (AoS) evaluation layout: crosses the
       // memory-layout axis with the refresh-path axis. Must be
@@ -566,14 +427,12 @@ TEST(DifferentialTest, DeltaRefreshMatchesFullOnRandomizedUpdateSchedules) {
         query.from = {{"M", "o"}, {"M", "n"}};
         query.where = RandomFormula(&rng, 2);
 
-        auto id_d = delta_serial.RegisterContinuous(query);
-        auto id_f = full_serial.RegisterContinuous(query);
-        auto id_p = delta_parallel.RegisterContinuous(query);
+        auto id_d = delta.RegisterContinuous(query);
+        auto id_f = full.RegisterContinuous(query);
         auto id_l = delta_legacy.RegisterContinuous(query);
         ASSERT_TRUE(id_d.ok()) << id_d.status()
                                << "\nformula: " << query.where->ToString();
         ASSERT_TRUE(id_f.ok()) << id_f.status();
-        ASSERT_TRUE(id_p.ok()) << id_p.status();
         ASSERT_TRUE(id_l.ok()) << id_l.status();
 
         for (int step = 0; step < 6; ++step) {
@@ -583,34 +442,26 @@ TEST(DifferentialTest, DeltaRefreshMatchesFullOnRandomizedUpdateSchedules) {
           Tick advance = rng.Bernoulli(0.15) ? 30 : rng.UniformInt(0, 3);
           db.clock().AdvanceTo(db.Now() + advance);
 
-          auto a_f = full_serial.ContinuousAnswer(*id_f);
+          auto a_f = full.ContinuousAnswer(*id_f);
           ASSERT_TRUE(a_f.ok()) << a_f.status()
                                 << "\nformula: " << query.where->ToString();
-          auto a_d = delta_serial.ContinuousAnswer(*id_d);
+          auto a_d = delta.ContinuousAnswer(*id_d);
           ASSERT_TRUE(a_d.ok()) << a_d.status();
-          auto a_p = delta_parallel.ContinuousAnswer(*id_p);
-          ASSERT_TRUE(a_p.ok()) << a_p.status();
           auto a_l = delta_legacy.ContinuousAnswer(*id_l);
           ASSERT_TRUE(a_l.ok()) << a_l.status();
           ASSERT_EQ(*a_d, *a_f)
               << "delta diverged from full at step " << step
-              << "\nformula: " << query.where->ToString();
-          ASSERT_EQ(*a_p, *a_f)
-              << "parallel+cached delta diverged from full at step " << step
               << "\nformula: " << query.where->ToString();
           ASSERT_EQ(*a_l, *a_f)
               << "legacy-layout delta diverged from full at step " << step
               << "\nformula: " << query.where->ToString();
         }
 
-        auto c_d = delta_serial.QueryRefreshCounters(*id_d);
-        auto c_p = delta_parallel.QueryRefreshCounters(*id_p);
-        ASSERT_TRUE(c_d.ok() && c_p.ok());
-        delta_served_serial += c_d->delta_evaluations;
-        delta_served_parallel += c_p->delta_evaluations;
-        ASSERT_TRUE(delta_serial.Cancel(*id_d).ok());
-        ASSERT_TRUE(full_serial.Cancel(*id_f).ok());
-        ASSERT_TRUE(delta_parallel.Cancel(*id_p).ok());
+        auto c_d = delta.QueryRefreshCounters(*id_d);
+        ASSERT_TRUE(c_d.ok());
+        delta_served += c_d->delta_evaluations;
+        ASSERT_TRUE(delta.Cancel(*id_d).ok());
+        ASSERT_TRUE(full.Cancel(*id_f).ok());
         ASSERT_TRUE(delta_legacy.Cancel(*id_l).ok());
       }
     }
@@ -619,8 +470,7 @@ TEST(DifferentialTest, DeltaRefreshMatchesFullOnRandomizedUpdateSchedules) {
     EXPECT_GE(schedules, 200) << "delta differential corpus shrank below spec";
     // The point of the corpus is delta-vs-full; if the delta path stopped
     // being selected these bounds catch it.
-    EXPECT_GE(delta_served_serial, 200u);
-    EXPECT_GE(delta_served_parallel, 200u);
+    EXPECT_GE(delta_served, 200u);
   }
 }
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 #include "ftl/parser.h"
 
 namespace most {
@@ -530,23 +529,6 @@ TEST_F(QueryManagerTest, PollGarbageCollectsSpentFiredState) {
   (void)car;
 }
 
-TEST_F(QueryManagerTest, ExpiryEvictsOutrunCacheWindows) {
-  QueryManager qm(&db_,
-                  {.horizon = 200, .enable_interval_cache = true});
-  AddCar({5, 5}, {0, 0});
-  auto id = qm.RegisterContinuous(
-      Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)"));
-  ASSERT_TRUE(id.ok());
-  ASSERT_GT(qm.interval_cache()->stats().entries, 0u);
-
-  // Outrun the window: the re-anchoring refresh must drop entries keyed
-  // to the dead window instead of letting them linger forever.
-  uint64_t invalidations_before = qm.interval_cache()->stats().invalidations;
-  db_.clock().AdvanceTo(500);
-  ASSERT_TRUE(qm.ContinuousAnswer(*id).ok());
-  EXPECT_GT(qm.interval_cache()->stats().invalidations, invalidations_before);
-}
-
 // ---------------------------------------------------------------------------
 // Degraded mode: answers under missing location updates.
 // ---------------------------------------------------------------------------
@@ -664,15 +646,12 @@ TEST_F(StalenessTest, DisabledHorizonKeepsEverythingCertain) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch tick (TickAll) + the parallel/cached evaluation configuration.
+// Batch tick (TickAll) and callers on several threads.
 // ---------------------------------------------------------------------------
 
-class ParallelQueryManagerTest : public ::testing::Test {
+class ConcurrentQueryManagerTest : public ::testing::Test {
  protected:
-  ParallelQueryManagerTest()
-      : qm_(&db_, {.horizon = 200,
-                   .thread_count = 4,
-                   .enable_interval_cache = true}) {
+  ConcurrentQueryManagerTest() : qm_(&db_, {.horizon = 200}) {
     EXPECT_TRUE(db_.CreateClass("CARS", {{"PRICE", false, ValueType::kDouble}},
                                 /*spatial=*/true)
                     .ok());
@@ -697,52 +676,7 @@ class ParallelQueryManagerTest : public ::testing::Test {
   QueryManager qm_;
 };
 
-TEST_F(ParallelQueryManagerTest, ParallelAnswersMatchSerialManager) {
-  for (int i = 0; i < 12; ++i) {
-    AddCar({static_cast<double>(-5 * i - 5), 5.0}, {1, 0});
-  }
-  QueryManager serial(&db_, {.horizon = 200});
-  for (const char* text :
-       {"RETRIEVE o FROM CARS o WHERE INSIDE(o, P)",
-        "RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 40 INSIDE(o, P)",
-        "RETRIEVE o, n FROM CARS o, CARS n WHERE DIST(o, n) <= 8"}) {
-    FtlQuery q = Parse(text);
-    auto fast = qm_.Evaluate(q);
-    auto slow = serial.Evaluate(q);
-    ASSERT_TRUE(fast.ok()) << fast.status();
-    ASSERT_TRUE(slow.ok()) << slow.status();
-    EXPECT_EQ(fast->rows, slow->rows) << text;
-    // Warm-cache repeat must not change anything.
-    auto again = qm_.Evaluate(q);
-    ASSERT_TRUE(again.ok());
-    EXPECT_EQ(again->rows, slow->rows) << text << " (cached)";
-  }
-  EXPECT_GT(qm_.interval_cache()->stats().hits, 0u);
-}
-
-// thread_count == 0 means "size the pool to the machine" (explicit 1 is
-// the serial no-pool path). Answers must be independent of that choice.
-TEST_F(ParallelQueryManagerTest, ThreadCountZeroSizesPoolToHardware) {
-  for (int i = 0; i < 8; ++i) {
-    AddCar({static_cast<double>(-4 * i - 4), 5.0}, {1, 0});
-  }
-  QueryManager hw(&db_, {.horizon = 200, .thread_count = 0});
-  QueryManager serial(&db_, {.horizon = 200, .thread_count = 1});
-  FtlQuery q = Parse("RETRIEVE o FROM CARS o WHERE EVENTUALLY INSIDE(o, P)");
-  auto a = hw.Evaluate(q);
-  auto b = serial.Evaluate(q);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_EQ(a->rows, b->rows);
-  // The delegation target: a zero-sized pool spawns hardware_concurrency
-  // workers (at least one), never zero.
-  ThreadPool pool(0);
-  EXPECT_GE(pool.thread_count(), 1u);
-  EXPECT_EQ(pool.thread_count(),
-            std::max(1u, std::thread::hardware_concurrency()));
-}
-
-TEST_F(ParallelQueryManagerTest, TickAllRefreshesEveryStaleQuery) {
+TEST_F(ConcurrentQueryManagerTest, TickAllRefreshesEveryStaleQuery) {
   ObjectId car = AddCar({-20, 5}, {1, 0});  // In P during [20, 30].
   std::vector<QueryManager::QueryId> ids;
   for (int i = 0; i < 8; ++i) {
@@ -768,30 +702,9 @@ TEST_F(ParallelQueryManagerTest, TickAllRefreshesEveryStaleQuery) {
   }
 }
 
-TEST_F(ParallelQueryManagerTest, CacheInvalidationTracksUpdates) {
-  ObjectId car = AddCar({-20, 5}, {1, 0});
-  FtlQuery q = Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)");
-  auto id = qm_.RegisterContinuous(q);
-  ASSERT_TRUE(id.ok());
-  auto before = qm_.ContinuousAnswer(*id);
-  ASSERT_TRUE(before.ok());
-  ASSERT_EQ(before->size(), 1u);
-  EXPECT_EQ((*before)[0].interval, Interval(20, 30));
-
-  // The update must evict the car's cached intervals, so the refreshed
-  // answer reflects the new motion rather than a stale cache entry.
-  ASSERT_TRUE(db_.SetMotion("CARS", car, {-40, 5}, {2, 0}).ok());
-  ASSERT_TRUE(qm_.TickAll().ok());
-  auto after = qm_.ContinuousAnswer(*id);
-  ASSERT_TRUE(after.ok());
-  ASSERT_EQ(after->size(), 1u);
-  EXPECT_EQ((*after)[0].interval, Interval(20, 25));
-  EXPECT_GT(qm_.interval_cache()->stats().invalidations, 0u);
-}
-
-TEST_F(ParallelQueryManagerTest, TotalRefreshCountersNeverTear) {
-  // Manager-wide refresh totals are read while TickAll fans refreshes out
-  // across the pool. The pair must come from one consistent snapshot —
+TEST_F(ConcurrentQueryManagerTest, TotalRefreshCountersNeverTear) {
+  // Manager-wide refresh totals are read on another thread while TickAll
+  // refreshes. The pair must come from one consistent snapshot —
   // totals can only grow, and a torn read (two independent atomics) could
   // go backwards or count a refresh in neither member. Run under
   // -DMOST_SANITIZE=thread to verify the snapshot is also race-free.
@@ -818,7 +731,7 @@ TEST_F(ParallelQueryManagerTest, TotalRefreshCountersNeverTear) {
   });
   for (int round = 0; round < 30; ++round) {
     // Dirty every query (database mutations stay on this thread, per the
-    // documented contract), then refresh the batch through the pool.
+    // documented contract), then refresh the batch.
     ASSERT_TRUE(db_.SetMotion("CARS", cars[round % cars.size()],
                               {static_cast<double>(-2 - round), 5.0}, {1, 0})
                     .ok());
@@ -830,7 +743,7 @@ TEST_F(ParallelQueryManagerTest, TotalRefreshCountersNeverTear) {
   EXPECT_GT(final.delta_evaluations + final.full_evaluations, 0u);
 }
 
-TEST_F(ParallelQueryManagerTest, SnapshotsReadOnOtherThreadsDuringRefresh) {
+TEST_F(ConcurrentQueryManagerTest, SnapshotsReadOnOtherThreadsDuringRefresh) {
   // A snapshot handed to another thread is walked while this thread's
   // batch refreshes splice the same query's answer. Copy-on-write keeps
   // the walked relation unchanged; under -DMOST_SANITIZE=thread a splice
@@ -867,19 +780,23 @@ TEST_F(ParallelQueryManagerTest, SnapshotsReadOnOtherThreadsDuringRefresh) {
   EXPECT_GE(qm_.QueryRefreshCounters(*id)->delta_evaluations, 20u);
 }
 
-TEST_F(ParallelQueryManagerTest, ConcurrentRegistrationDuringTicks) {
+TEST_F(ConcurrentQueryManagerTest, ConcurrentRegistrationDuringTicks) {
   // Registration, polling, and batch ticks from several threads must not
   // race (run under -DMOST_SANITIZE=thread to verify); database mutations
   // stay on this thread, per the documented contract.
   for (int i = 0; i < 6; ++i) {
     AddCar({static_cast<double>(-3 * i - 2), 5.0}, {1, 0});
   }
+  const FtlQuery query = Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)");
   std::atomic<bool> stop{false};
   std::atomic<int> registered{0};
+  // One registration before the ticker starts: the ticker may finish its
+  // 50 ticks before the registrar thread is first scheduled.
+  ASSERT_TRUE(qm_.RegisterContinuous(query).ok());
+  ++registered;
   std::thread registrar([&] {
     while (!stop.load()) {
-      auto id = qm_.RegisterContinuous(
-          Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)"));
+      auto id = qm_.RegisterContinuous(query);
       ASSERT_TRUE(id.ok());
       ++registered;
       auto answer = qm_.ContinuousAnswer(*id);
